@@ -54,10 +54,8 @@ from .qpoly import (
     chebyshev,
     chebyshev_root,
     eval_at,
-    poly_arith,
     poly_divrem,
     poly_gcd,
-    ratfun_arith,
 )
 
 __version__ = "0.1.0"
@@ -68,10 +66,8 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "PoleError",
-    "poly_arith",
     "poly_divrem",
     "poly_gcd",
-    "ratfun_arith",
     "chebyshev",
     "chebyshev_root",
     "eval_at",

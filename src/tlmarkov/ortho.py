@@ -16,14 +16,24 @@ entries are the products of Chebyshev quotients
     <e'_a, e'_a> = prod_i Delta_{a_i} / Delta_{a_i - 1}.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
-engine first tabulates the half-pairings H[b][a] = <e_b, e'_a>, checks that
-they vanish whenever b precedes a in the head-major lexicographic order (the
-order refining the coordinate-wise one), and that H[a][a] matches the
-predicted diagonal.  Every entry of the primed Gram matrix is then a finite
-sum of verified terms: expanding <e'_b, e'_a> through the lex-smaller
-argument makes each term a coefficient times a verified-zero half-pairing, so
-the off-diagonal entries are exactly zero and the diagonal reduces to
-1 * H[a][a].
+engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
+vector: the recursion for e'_(t,h), pushed through the adjunction
+<e_b, l_h x> = q^c <tau_h e_b, x>, gives each entry from the level below,
+
+    H_k[b][(t,h)] = q^c H_{k-1}[tau_h b][t]
+                    - (Delta_{h-2}/Delta_{h-1}) * H_k[b][(t,h-1)],
+
+starting from H_0 = [[1]].  Two exhaustive checks tie the table to the
+stored vectors: (i) the adjunction holds on the pairing exponents for every
+b, head h and u one size down, and (ii) every stored vector satisfies its
+defining recursion.  By induction on the size they give H = G P^T exactly.
+The engine then checks that H[b][a] vanishes whenever b precedes a in the
+head-major lexicographic order (the order refining the coordinate-wise one),
+and that H[a][a] matches the predicted diagonal.  Every entry of the primed
+Gram matrix is then a finite sum of verified terms: expanding <e'_b, e'_a>
+through the lex-smaller argument makes each term a coefficient times a
+verified-zero half-pairing, so the off-diagonal entries are exactly zero and
+the diagonal reduces to 1 * H[a][a].
 
 :func:`bareiss_det` provides the independent fraction-free determinant
 oracle, and :func:`det_product` the predicted product form; their exact
@@ -35,25 +45,26 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .diagrams import (
     RestrictedSequence,
+    contract,
     enumerate_diagrams,
+    insert_arc,
     leq,
+    matching_to_seq,
+    seq_to_matching,
 )
 from .markov import DiagramVector, SquareMatrix, gram, gram_exponents
 from .qpoly import (
     ONE,
+    Q,
     RF_ONE,
     RF_ZERO,
     Polynomial,
     RationalFunction,
-    _clear_denominators,
-    _int_content,
     _int_divexact,
-    _int_gcd,
     _int_mul,
     chebyshev,
 )
@@ -252,47 +263,179 @@ def _head_major_key(s: RestrictedSequence) -> tuple[int, ...]:
     return s.head_first
 
 
-def _cleared_row(vec: DiagramVector) -> tuple[dict[RestrictedSequence, list], list[int]]:
-    """Rewrite a vector over a single primitive integer denominator.
+@dataclass(frozen=True)
+class _Level:
+    """How the diagrams of size k arise from those of size k - 1.
 
-    Returns (numerators, denominator) with coefficient(t) = numerators[t] /
-    denominator exactly; numerator coefficient lists may carry Fractions when
-    a coefficient has non-integer content.
+    ``contract[b][h - 1]`` is ``(u, c)`` with u the index of tau_h(b) in
+    B_{k-1} and c the loops the contraction closes; ``lift[h - 1][u]`` is the
+    index of l_h(u) in B_k.  Heads run over 1..k.
     """
-    denominator = [1]
-    parts: list[tuple[RestrictedSequence, list[int], Fraction, list[int]]] = []
-    for key, value in vec.coeffs.items():
-        num_ints, num_scale = _clear_denominators(value.num.coeffs)
-        den_ints, den_scale = _clear_denominators(value.den.coeffs)
-        den_content = _int_content(den_ints)
-        den_prim = [c // den_content for c in den_ints]
-        if den_prim[-1] < 0:
-            den_prim = [-c for c in den_prim]
-            den_content = -den_content
-        scalar = Fraction(den_scale, den_content * num_scale)
-        parts.append((key, num_ints, scalar, den_prim))
-        g = _int_gcd(denominator, den_prim)
-        step = _int_divexact(den_prim, g)
-        assert step is not None
-        denominator = _int_mul(denominator, step)
-    numerators: dict[RestrictedSequence, list] = {}
-    for key, num_ints, scalar, den_prim in parts:
-        cofactor = _int_divexact(denominator, den_prim)
-        assert cofactor is not None
-        coeffs = _int_mul(num_ints, cofactor)
-        if scalar != 1:
-            coeffs = [c * scalar for c in coeffs]
-        assert coeffs, "support coefficient cleared to zero"
-        numerators[key] = coeffs
-    return numerators, denominator
+
+    below: tuple[RestrictedSequence, ...]
+    basis: tuple[RestrictedSequence, ...]
+    contract: tuple[tuple[tuple[int, int], ...], ...]
+    lift: tuple[tuple[int, ...], ...]
 
 
-def _shift_add(acc: list, coeffs: list, shift: int) -> None:
-    need = len(coeffs) + shift
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for t, c in enumerate(coeffs):
-        acc[t + shift] += c
+def _levels(n: int) -> list[_Level]:
+    """The contraction and lift tables from size 1 up to size n."""
+    levels = []
+    below = enumerate_diagrams(0)
+    below_index = {s: i for i, s in enumerate(below)}
+    below_matchings = [seq_to_matching(s) for s in below]
+    for k in range(1, n + 1):
+        basis = enumerate_diagrams(k)
+        index = {s: i for i, s in enumerate(basis)}
+        matchings = [seq_to_matching(s) for s in basis]
+        contracted = []
+        for m in matchings:
+            row = []
+            for h in range(1, k + 1):
+                image, loops = contract(m, h)
+                row.append((below_index[matching_to_seq(image)], loops))
+            contracted.append(tuple(row))
+        lift = tuple(
+            tuple(index[matching_to_seq(insert_arc(m, h))] for m in below_matchings)
+            for h in range(1, k + 1)
+        )
+        levels.append(_Level(below, basis, tuple(contracted), lift))
+        below, below_index, below_matchings = basis, index, matchings
+    return levels
+
+
+def _heads(t: RestrictedSequence) -> range:
+    """The heads h with (t, h) a restricted sequence."""
+    return range(1, t.entries[-1] + 2 if t.entries else 2)
+
+
+def _ratio(h: int) -> RationalFunction:
+    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h)."""
+    return RationalFunction(chebyshev(h - 2), chebyshev(h - 1))
+
+
+def _half_pairings(
+    n: int, levels: list[_Level] | None = None
+) -> list[dict[int, RationalFunction]]:
+    """The half-pairings H[b][a] = <e_b, e'_a> over enumerate_diagrams(n), as
+    sparse columns: column a maps the index of each b with H[b][a] != 0 to
+    the entry.
+
+    The recursion of e'_(t,h), pushed through the adjunction
+    <e_b, l_h x> = q^c <tau_h e_b, x>, gives each entry in O(1) field
+    operations from the level below, starting at H_0 = [[1]]:
+
+        H_k[b][(t,h)] = q^c(b,h) H_{k-1}[tau_h b][t]
+                        - (Delta_{h-2}/Delta_{h-1}) H_k[b][(t,h-1)].
+
+    No vector and no Gram entry is read; :func:`verify_orthogonality`
+    certifies that the result equals G P^T for the stored vectors.
+    """
+    if levels is None:
+        levels = _levels(n)
+    q = RationalFunction.from_polynomial(Q)
+    # the entries repeat, so each field operation is done once per operands
+    raised: dict[RationalFunction, RationalFunction] = {}
+    combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
+    columns: list[dict[int, RationalFunction]] = [{0: RF_ONE}]
+    for k, level in enumerate(levels, start=1):
+        preimages: list[list[list[tuple[int, int]]]] = [
+            [[] for _ in level.below] for _ in range(k)
+        ]
+        for b, row in enumerate(level.contract):
+            for h, (u, loops) in enumerate(row):
+                preimages[h][u].append((b, loops))
+        # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
+        upper: list[dict[int, RationalFunction]] = []
+        for t_idx, t in enumerate(level.below):
+            previous: dict[int, RationalFunction] = {}
+            for h in _heads(t):
+                column = {}
+                for u, value in columns[t_idx].items():
+                    for b, loops in preimages[h - 1][u]:
+                        if loops:
+                            shifted = raised.get(value)
+                            if shifted is None:
+                                shifted = raised[value] = value * q
+                            column[b] = shifted
+                        else:
+                            column[b] = value
+                if h > 1:
+                    ratio = _ratio(h)
+                    for b, value in previous.items():
+                        terms = (h, column.get(b, RF_ZERO), value)
+                        entry = combined.get(terms)
+                        if entry is None:
+                            entry = combined[terms] = terms[1] - ratio * value
+                        if entry.is_zero:
+                            column.pop(b, None)
+                        else:
+                            column[b] = entry
+                upper.append(column)
+                previous = column
+        columns = upper
+    return columns
+
+
+def _adjunction_mismatches(levels: list[_Level]) -> list[str]:
+    """Link (i): <e_b, l_h e_u> = q^c <tau_h e_b, e_u> on the pairing
+    exponents, for every b of size k <= n, head h and u of size k - 1."""
+    bad = []
+    lower = gram_exponents(0)
+    for k, level in enumerate(levels, start=1):
+        upper = gram_exponents(k)
+        for b_idx, row in enumerate(level.contract):
+            exponents = upper[b_idx]
+            for h, (u_idx, loops) in enumerate(row, start=1):
+                got = [exponents[j] for j in level.lift[h - 1]]
+                want = [loops + c for c in lower[u_idx]]
+                if got != want:
+                    b = level.basis[b_idx]
+                    for u, x, y in zip(level.below, got, want):
+                        if x != y:
+                            bad.append(
+                                f"<e_{b}, l_{h} e_{u}> = q^{x} != q^{y} = "
+                                f"q^{loops} * <tau_{h} e_{b}, e_{u}>"
+                            )
+        lower = upper
+    return bad
+
+
+def _recursion_mismatches(levels: list[_Level]) -> list[str]:
+    """Link (ii): every stored vector satisfies its defining recursion
+    e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), through the
+    lift table of link (i), and e'_(1) = e_(1)."""
+    bad = []
+    # the coefficients repeat: at n = 7 the 46,312 terms hold 3,888 distinct
+    # (h, lifted, previous) triples
+    combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
+    first = RestrictedSequence((1,))
+    if orthogonal_vector(first) != DiagramVector.basis_vector(first):
+        bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
+    for level in levels[1:]:
+        index = {s: i for i, s in enumerate(level.below)}
+        for t in level.below:
+            tail = orthogonal_vector(t).coeffs
+            previous: dict[RestrictedSequence, RationalFunction] = {}
+            for h in _heads(t):
+                a = RestrictedSequence(t.entries + (h,))
+                got = orthogonal_vector(a).coeffs
+                lift = level.lift[h - 1]
+                lifted = {level.basis[lift[index[u]]]: c for u, c in tail.items()}
+                ratio = _ratio(h) if h > 1 else RF_ZERO
+                recursion = f"l_{h}(e'_{t})"
+                if h > 1:
+                    recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
+                for key in got.keys() | lifted.keys() | previous.keys():
+                    terms = (h, lifted.get(key, RF_ZERO), previous.get(key, RF_ZERO))
+                    want = combined.get(terms)
+                    if want is None:
+                        want = combined[terms] = terms[1] - ratio * terms[2]
+                    value = got.get(key, RF_ZERO)
+                    if value != want:
+                        bad.append(f"e'_{a} has {value} != {want} on e_{key} by {recursion}")
+                previous = got
+    return bad
 
 
 def verify_orthogonality(n: int) -> VerificationReport:
@@ -304,7 +447,6 @@ def verify_orthogonality(n: int) -> VerificationReport:
     basis = enumerate_diagrams(n)
     size = len(basis)
     index = {s: i for i, s in enumerate(basis)}
-    exponents = gram_exponents(n)
     rows = [orthogonal_vector(s) for s in basis]
 
     # unitriangularity
@@ -356,47 +498,37 @@ def verify_orthogonality(n: int) -> VerificationReport:
         )
     )
 
-    # half-pairings H[b][a] = <e_b, e'_a>, cleared to integer polynomials
+    # half-pairings H[b][a] = <e_b, e'_a> by the recursion.  Links (i) and
+    # (ii) make H = G P^T for the stored vectors, by induction on the size:
+    # (G P^T)[b][(t,h)] expands through (ii) into pairings <e_b, l_h e_u>,
+    # which (i) turns into q^c <tau_h e_b, e_u>, the recursion of H.
     start = time.perf_counter()
-    cleared = [_cleared_row(vec) for vec in rows]
-    half: list[list[list]] = [[[] for _ in range(size)] for _ in range(size)]
-    for a_idx in range(size):
-        numerators, _ = cleared[a_idx]
-        items = [(index[t], coeffs) for t, coeffs in numerators.items()]
-        for b_idx in range(size):
-            exp_row = exponents[b_idx]
-            acc: list = []
-            for j, coeffs in items:
-                _shift_add(acc, coeffs, exp_row[j])
-            while acc and acc[-1] == 0:
-                acc.pop()
-            half[b_idx][a_idx] = acc
-
+    levels = _levels(n)
+    link_bad = _adjunction_mismatches(levels) + _recursion_mismatches(levels)
+    half = _half_pairings(n, levels)
     head_keys = [_head_major_key(s) for s in basis]
     triangle_bad: list[str] = []
     diagonal_bad: list[str] = []
-    for a_idx in range(size):
-        den = Polynomial(tuple(cleared[a_idx][1]))
-        for b_idx in range(size):
-            if head_keys[b_idx] < head_keys[a_idx] and half[b_idx][a_idx]:
-                value = RationalFunction(Polynomial(tuple(half[b_idx][a_idx])), den)
+    for a_idx, column in enumerate(half):
+        for b_idx, value in column.items():
+            if head_keys[b_idx] < head_keys[a_idx]:
                 triangle_bad.append(
                     f"<e_{basis[b_idx]}, e'_{basis[a_idx]}> = {value} (expected 0)"
                 )
-        got = RationalFunction(Polynomial(tuple(half[a_idx][a_idx])), den)
+        got = column.get(a_idx, RF_ZERO)
         want = predicted_diagonal(basis[a_idx])
         if got != want:
             diagonal_bad.append(f"<e_{basis[a_idx]}, e'_{basis[a_idx]}> = {got} != {want}")
-    elapsed = time.perf_counter() - start
+    bad = link_bad + triangle_bad + diagonal_bad
     report.checks.append(
         CheckResult(
             "half-pairing",
-            not (triangle_bad or diagonal_bad),
-            elapsed,
+            not bad,
+            time.perf_counter() - start,
             f"<e_b, e'_a> = 0 for all {size * (size - 1) // 2} pairs below in the "
             "order, and <e_a, e'_a> matches the Chebyshev product"
-            if not (triangle_bad or diagonal_bad)
-            else "; ".join((triangle_bad + diagonal_bad)[:5]),
+            if not bad
+            else "; ".join(bad[:5]),
         )
     )
 
@@ -404,27 +536,30 @@ def verify_orthogonality(n: int) -> VerificationReport:
     # finite sum of coefficient * half-pairing terms; expanding through the
     # lex-smaller argument, every term was verified zero above
     start = time.perf_counter()
+    supports = [{index[t] for t in vec.coeffs} for vec in rows]
+    nonzero_rows = [set(column) for column in half]
+
+    def primed_pairing(lo: int, hi: int) -> RationalFunction:
+        # <e'_lo, e'_hi> = sum_t P[lo][t] * H[t][hi] over the surviving terms
+        value = RF_ZERO
+        for t in supports[lo] & nonzero_rows[hi]:
+            value = value + rows[lo].coeffs[basis[t]] * half[hi][t]
+        return value
+
     ortho_bad: list[str] = []
     for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
+        # the expansion of <e'_i, e'_j> and <e'_j, e'_i> is the same sum
+        for j in range(i + 1, size):
             lo, hi = (i, j) if head_keys[i] < head_keys[j] else (j, i)
-            if any(half[index[t]][hi] for t in rows[lo].coeffs):
+            if not supports[lo].isdisjoint(nonzero_rows[hi]):
                 # a term survived where the triangle predicts none; compute
                 # the literal entry for the report
-                den = Polynomial(tuple(cleared[hi][1]))
-                value = RF_ZERO
-                for t, coefficient in rows[lo].coeffs.items():
-                    h = half[index[t]][hi]
-                    if h:
-                        value = value + coefficient * RationalFunction(
-                            Polynomial(tuple(h)), den
-                        )
+                value = primed_pairing(lo, hi)
                 if not value.is_zero:
-                    ortho_bad.append(
-                        f"<e'_{basis[i]}, e'_{basis[j]}> = {value} (expected 0)"
-                    )
+                    for x, y in ((i, j), (j, i)):
+                        ortho_bad.append(
+                            f"<e'_{basis[x]}, e'_{basis[y]}> = {value} (expected 0)"
+                        )
     report.checks.append(
         CheckResult(
             "orthogonality",
@@ -441,18 +576,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
     start = time.perf_counter()
     diag_bad: list[str] = []
     for i in range(size):
-        unit = rows[i].coeffs.get(basis[i], RF_ZERO)
-        den = Polynomial(tuple(cleared[i][1]))
-        value = unit * RationalFunction(Polynomial(tuple(half[i][i])), den)
-        stray = [
-            t
-            for t in rows[i].coeffs
-            if t != basis[i] and half[index[t]][i]
-        ]
-        for t in stray:
-            value = value + rows[i].coeffs[t] * RationalFunction(
-                Polynomial(tuple(half[index[t]][i])), den
-            )
+        value = primed_pairing(i, i)
         want = predicted_diagonal(basis[i])
         if value != want:
             diag_bad.append(f"<e'_{basis[i]}, e'_{basis[i]}> = {value} != {want}")

@@ -31,10 +31,8 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "PoleError",
-    "poly_arith",
     "poly_divrem",
     "poly_gcd",
-    "ratfun_arith",
     "chebyshev",
     "chebyshev_root",
     "eval_at",
@@ -437,23 +435,6 @@ def _coerce_poly(value) -> Polynomial:
     return NotImplemented
 
 
-def poly_arith(op: str, a: Polynomial, b=None) -> Polynomial:
-    """Dispatch a ring operation by name: add, sub, mul, neg, scale."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"operation {op!r} needs a second operand")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * _coerce_poly(b)
-    if op == "scale":
-        return a.scaled(b)
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
 def poly_divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Exact division with remainder: a = b*quotient + remainder."""
     return a.divrem(b)
@@ -645,23 +626,6 @@ def _coerce_ratfun(value) -> RationalFunction:
 
 RF_ZERO = RationalFunction(ZERO, ONE)
 RF_ONE = RationalFunction(ONE, ONE)
-
-
-def ratfun_arith(op: str, a: RationalFunction, b=None) -> RationalFunction:
-    """Dispatch a field operation by name: add, sub, mul, div, neg."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"operation {op!r} needs a second operand")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown rational-function operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from tlmarkov.diagrams import RestrictedSequence, enumerate_diagrams, leq
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
     TRIVALENT_FIXTURES,
+    _half_pairings,
     bareiss_det,
     change_of_basis,
     check_fixture_bases,
@@ -213,6 +214,83 @@ def test_verify_detects_a_corrupted_vector():
     assert "half-pairing" in failed
     details = next(c.details for c in result.checks if c.name == "half-pairing")
     assert "expected 0" in details or "!=" in details
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_half_pairings_match_the_direct_pairing(n):
+    """Reference oracle: every entry of the recursive half-pairing table,
+    zero or not, equals <e_b, e'_a> summed over the support of e'_a."""
+    basis = enumerate_diagrams(n)
+    matrix = gram(n)
+    columns = _half_pairings(n)
+    assert len(columns) == len(basis)
+    for a_idx, a in enumerate(basis):
+        vector = orthogonal_vector(a)
+        for b_idx, b in enumerate(basis):
+            direct = pair_vectors(DiagramVector.basis_vector(b), vector, matrix)
+            assert columns[a_idx].get(b_idx, RF_ZERO) == direct, (str(b), str(a))
+
+
+def test_verify_detects_a_corrupted_interior_vector():
+    """A wrong coefficient in a vector that is neither first nor last of its
+    head class (same tail, heads 1..a_{n-1}+1) fails the half-pairing check;
+    the recursion link is checked for every vector, none is sampled."""
+    s = seq("2,2,2,2,1")  # tail 2,2,2,1 takes heads 1..3
+    vector = orthogonal_vector(s)
+    key = seq("1,2,2,2,1")
+    assert key != s and key in vector.coeffs
+    wrong = DiagramVector(
+        5, {t: -c if t == key else c for t, c in vector.coeffs.items()}
+    )
+    with _with_corrupted_vector(s, wrong):
+        result = verify_orthogonality(5)
+    check = next(c for c in result.checks if c.name == "half-pairing")
+    assert not check.passed
+    assert "!=" in check.details
+    assert f"e'_{s}" in check.details
+    assert verify_orthogonality(5).passed
+
+
+def test_verify_detects_a_wrong_pairing_exponent(monkeypatch):
+    """One off-diagonal Gram exponent off by one fails the adjunction link."""
+    from tlmarkov import ortho as ortho_module
+
+    true_exponents = ortho_module.gram_exponents
+
+    def tampered(k):
+        table = true_exponents(k)
+        if k != 4:
+            return table
+        rows = [list(row) for row in table]
+        rows[3][9] += 1
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(ortho_module, "gram_exponents", tampered)
+    result = verify_orthogonality(4)
+    check = next(c for c in result.checks if c.name == "half-pairing")
+    assert not check.passed
+    assert "!=" in check.details
+
+
+def test_verify_reports_the_literal_entry_of_a_surviving_term(monkeypatch):
+    """A nonzero half-pairing below the triangle fails the triangle and makes
+    the orthogonality check compute and report the entry it produces."""
+    from tlmarkov import ortho as ortho_module
+
+    true_half_pairings = ortho_module._half_pairings
+
+    def tampered(n, levels=None):
+        columns = true_half_pairings(n, levels)
+        columns[1][0] = INV_Q  # <e_1,1, e'_2,1> = 1/q, below the triangle
+        return columns
+
+    monkeypatch.setattr(ortho_module, "_half_pairings", tampered)
+    result = verify_orthogonality(2)
+    by_name = {c.name: c for c in result.checks}
+    assert "<e_1,1, e'_2,1> = 1/q (expected 0)" in by_name["half-pairing"].details
+    assert by_name["orthogonality"].details == (
+        "<e'_1,1, e'_2,1> = 1/q (expected 0); <e'_2,1, e'_1,1> = 1/q (expected 0)"
+    )
 
 
 def test_change_of_basis_raises_on_broken_unitriangularity():

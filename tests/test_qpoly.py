@@ -25,10 +25,8 @@ from tlmarkov.qpoly import (
     chebyshev,
     chebyshev_root,
     eval_at,
-    poly_arith,
     poly_divrem,
     poly_gcd,
-    ratfun_arith,
 )
 
 
@@ -46,11 +44,11 @@ def rf(num, den=(1,)):
 
 
 def test_add_inverse_is_zero():
-    assert poly_arith("add", Q, -Q) == ZERO
+    assert Q + (-Q) == ZERO
 
 
 def test_monomial_product():
-    assert poly_arith("mul", Q, Q) == poly(0, 0, 1)
+    assert Q * Q == poly(0, 0, 1)
 
 
 def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -63,12 +61,12 @@ def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def test_square_against_convolution_oracle():
     a = poly(-1, 0, 1)  # q^2 - 1
-    assert poly_arith("mul", a, a) == schoolbook_product(a, a) == poly(1, 0, -2, 0, 1)
+    assert a * a == schoolbook_product(a, a) == poly(1, 0, -2, 0, 1)
 
 
 def test_scale():
-    assert poly_arith("scale", Q, Fraction(1, 2)) == poly(0, Fraction(1, 2))
-    assert poly_arith("neg", poly(1, -2)) == poly(-1, 2)
+    assert Q.scaled(Fraction(1, 2)) == poly(0, Fraction(1, 2))
+    assert -poly(1, -2) == poly(-1, 2)
 
 
 def test_invariants_of_representation():
@@ -175,22 +173,22 @@ def test_gcd_divides_both_and_is_monic(a, b):
 
 
 def test_inverse_pair():
-    assert ratfun_arith("mul", rf((1,), (0, 1)), rf((0, 1))) == RF_ONE
+    assert rf((1,), (0, 1)) * rf((0, 1)) == RF_ONE
 
 
 def test_common_denominator_subtraction():
-    assert ratfun_arith("sub", rf((0, 1)), rf((1,), (0, 1))) == rf((-1, 0, 1), (0, 1))
+    assert rf((0, 1)) - rf((1,), (0, 1)) == rf((-1, 0, 1), (0, 1))
 
 
 def test_nested_denominator_addition():
     a = rf((-1,), (0, 1))  # -1/q
     b = rf((-1,), (0, -1, 0, 1))  # -1/(q(q^2-1))
-    assert ratfun_arith("add", a, b) == rf((0, -1), (-1, 0, 1))  # -q/(q^2-1)
+    assert a + b == rf((0, -1), (-1, 0, 1))  # -q/(q^2-1)
 
 
 def test_division_by_zero_rational_function():
     with pytest.raises(ZeroDivisionError):
-        ratfun_arith("div", RF_ONE, RF_ZERO)
+        RF_ONE / RF_ZERO
     with pytest.raises(ZeroDivisionError):
         RationalFunction(ONE, ZERO)
 
@@ -356,10 +354,3 @@ def test_json_uses_decimal_free_strings():
     obj = rf((Fraction(-1, 2), 1), (0, 1)).to_json()
     assert obj["num"]["coeffs"] == ["-1/2", "1"]
     assert obj["den"]["coeffs"] == ["0", "1"]
-
-
-def test_dispatch_rejects_unknown_ops():
-    with pytest.raises(ValueError):
-        poly_arith("pow", Q, Q)
-    with pytest.raises(ValueError):
-        ratfun_arith("mod", RF_ONE, RF_ONE)
