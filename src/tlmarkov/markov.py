@@ -33,7 +33,7 @@ from .diagrams import (
     matching_to_seq,
     seq_to_matching,
 )
-from .qpoly import RF_ONE, RF_ZERO, Polynomial, RationalFunction
+from .qpoly import RF_ONE, RF_ZERO, Polynomial, RationalFunction, _coerce_ratfun
 
 Scalar = Union[int, Fraction, Polynomial, RationalFunction]
 
@@ -193,13 +193,10 @@ def gram(n: int) -> SquareMatrix:
 
 
 def _coerce_scalar(value: Scalar) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return RationalFunction.from_polynomial(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction.from_scalar(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to a coefficient")
+    coerced = _coerce_ratfun(value)
+    if coerced is NotImplemented:
+        raise TypeError(f"cannot coerce {type(value).__name__} to a coefficient")
+    return coerced
 
 
 @dataclass(frozen=True)

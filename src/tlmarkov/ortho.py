@@ -42,9 +42,11 @@ agreement cross-checks the diagonalization against the Gram determinant.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .diagrams import (
@@ -64,8 +66,6 @@ from .qpoly import (
     RF_ZERO,
     Polynomial,
     RationalFunction,
-    _int_divexact,
-    _int_mul,
     chebyshev,
 )
 
@@ -304,6 +304,18 @@ def _levels(n: int) -> list[_Level]:
     return levels
 
 
+def _downset_size(b: RestrictedSequence) -> int:
+    """The number of diagrams a <= b, counted position by position by the
+    last entry of each prefix of a."""
+    counts = {1: 1}
+    for top in b.entries[1:]:
+        counts = {
+            v: sum(c for u, c in counts.items() if v <= u + 1)
+            for v in range(1, top + 1)
+        }
+    return sum(counts.values())
+
+
 def _heads(t: RestrictedSequence) -> range:
     """The heads h with (t, h) a restricted sequence."""
     return range(1, t.entries[-1] + 2 if t.entries else 2)
@@ -474,7 +486,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
         if not leq(t, basis[i])
     ]
     support_total = sum(len(vec.coeffs) for vec in rows)
-    downset_total = sum(1 for a in basis for b in basis if leq(a, b))
+    downset_total = sum(_downset_size(b) for b in basis)
     if bad_support:
         details = "; ".join(bad_support[:5])
     elif support_total == downset_total:
@@ -602,24 +614,33 @@ def bareiss_det(matrix) -> Polynomial:
     """Exact determinant of a polynomial matrix by fraction-free elimination.
 
     Accepts a :class:`SquareMatrix` whose entries are polynomials (denominator
-    1) or a raw square sequence of :class:`Polynomial` rows.  Every division
-    of the elimination is exact; an inexact one raises
+    1) or a raw square sequence of :class:`Polynomial` rows.  Each row is
+    scaled to integer coefficients by the lcm of its denominators.  The
+    determinant then has degree at most D, the sum over rows of the largest
+    entry degree, so the integer matrix is evaluated at D + 1 integers
+    centred on 0, each value matrix is reduced by Bareiss elimination on
+    plain integers, and the values are interpolated exactly and unscaled.
+    Every division of the elimination is exact; an inexact one raises
     :class:`InternalCheckError`.
     """
     rows = _polynomial_rows(matrix)
-    size = len(rows)
-    if size == 0:
+    if not rows:
         return ONE
-    int_rows: list[list[list[int]]] = []
+    scale = 1
+    int_rows = []
     for row in rows:
-        int_row = []
-        for p in row:
-            ints = p._int_coeffs()
-            if ints is None:
-                return _bareiss_generic(rows)
-            int_row.append(ints)
-        int_rows.append(int_row)
-    return _bareiss_int(int_rows)
+        factor = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+        scale *= factor
+        int_rows.append([[int(c * factor) for c in p.coeffs] for p in row])
+    # a zero row counts -1, harmless: the determinant is then 0 everywhere
+    degree = sum(max(len(cs) for cs in row) - 1 for row in int_rows)
+    low = -(degree // 2)
+    points = range(low, low + degree + 1)
+    values = [
+        _integer_det([[_horner(cs, x) for cs in row] for row in int_rows])
+        for x in points
+    ]
+    return Polynomial(tuple(c / scale for c in _interpolate(points, values)))
 
 
 def _polynomial_rows(matrix) -> list[list[Polynomial]]:
@@ -643,81 +664,55 @@ def _polynomial_rows(matrix) -> list[list[Polynomial]]:
     return rows
 
 
-def _bareiss_int(rows: list[list[list[int]]]) -> Polynomial:
-    size = len(rows)
-    sign = 1
-    previous = [1]
-    for k in range(size - 1):
-        if not rows[k][k]:
-            for r in range(k + 1, size):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial(())
-        pivot = rows[k][k]
-        for i in range(k + 1, size):
-            row_i = rows[i]
-            lead = row_i[k]
-            for j in range(k + 1, size):
-                numerator = _int_sub(_int_mul(pivot, row_i[j]), _int_mul(lead, rows[k][j]))
-                if previous == [1]:
-                    row_i[j] = numerator
-                else:
-                    quotient = _int_divexact(numerator, previous)
-                    if quotient is None:
-                        raise InternalCheckError(
-                            "fraction-free elimination hit an inexact division"
-                        )
-                    row_i[j] = quotient
-            row_i[k] = []
-        previous = pivot
-    det = rows[size - 1][size - 1]
-    if sign < 0:
-        det = [-c for c in det]
-    return Polynomial(tuple(det))
+def _horner(coeffs: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
-def _int_sub(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _bareiss_generic(rows: list[list[Polynomial]]) -> Polynomial:
-    size = len(rows)
-    sign = 1
-    previous = ONE
-    work = [list(row) for row in rows]
-    for k in range(size - 1):
-        if work[k][k].is_zero:
-            for r in range(k + 1, size):
-                if not work[r][k].is_zero:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial(())
-        pivot = work[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                numerator = pivot * work[i][j] - work[i][k] * work[k][j]
-                quotient, remainder = numerator.divrem(previous)
-                if not remainder.is_zero:
+def _integer_det(rows: list[list[int]]) -> int:
+    """Bareiss elimination on an integer matrix, one column per step."""
+    sign, previous = 1, 1
+    while len(rows) > 1:
+        k = next((r for r, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return 0
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
+            sign = -sign
+        pivot, *top = rows[0]
+        reduced = []
+        for lead, *rest in rows[1:]:
+            row = []
+            for a, b in zip(rest, top):
+                quotient, remainder = divmod(pivot * a - lead * b, previous)
+                if remainder:
                     raise InternalCheckError(
                         "fraction-free elimination hit an inexact division"
                     )
-                work[i][j] = quotient
-            work[i][k] = Polynomial(())
-        previous = pivot
-    det = work[size - 1][size - 1]
-    return -det if sign < 0 else det
+                row.append(quotient)
+            reduced.append(row)
+        rows, previous = reduced, pivot
+    return sign * rows[0][0]
+
+
+def _interpolate(points: Sequence[int], values: list[int]) -> list[Fraction]:
+    """Ascending coefficients of the polynomial of degree < len(points)
+    through the values, by Newton divided differences."""
+    coef = [Fraction(v) for v in values]
+    for k in range(1, len(points)):
+        for i in range(len(points) - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - k])
+    poly: list[Fraction] = []
+    for c, x in zip(reversed(coef), reversed(points)):
+        # poly <- poly * (q - x) + c
+        shifted = [Fraction(0)] + poly
+        for i, p in enumerate(poly):
+            shifted[i] -= x * p
+        shifted[0] += c
+        poly = shifted
+    return poly
 
 
 def det_product(n: int) -> RationalFunction:

@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -225,10 +225,6 @@ class Polynomial:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "Polynomial":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
@@ -331,12 +327,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by q**k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
     # -- division ------------------------------------------------------------
 
     def divrem(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -358,9 +348,6 @@ class Polynomial:
             while rem and rem[-1] == 0:
                 rem.pop()
         return Polynomial(tuple(quot)), Polynomial(tuple(rem))
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        return self.divrem(other)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -440,20 +427,6 @@ def poly_divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     return a.divrem(b)
 
 
-def _divexact(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient of an exact division; raises if b does not divide a."""
-    ia, ib = a._int_coeffs(), b._int_coeffs()
-    if ia is not None and ib is not None:
-        out = _int_divexact(ia, ib)
-        if out is None:
-            raise ArithmeticError("inexact polynomial division")
-        return Polynomial(tuple(out))
-    quot, rem = a.divrem(b)
-    if not rem.is_zero:
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via a primitive remainder sequence."""
     if a.is_zero and b.is_zero:
@@ -501,10 +474,6 @@ class RationalFunction:
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
         return cls(p, ONE)
-
-    @classmethod
-    def from_scalar(cls, c: Scalar) -> "RationalFunction":
-        return cls(Polynomial((c,)), ONE)
 
     @property
     def is_zero(self) -> bool:

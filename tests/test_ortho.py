@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_functions
+from conftest import coefficients, rational_functions
 from tlmarkov.diagrams import RestrictedSequence, enumerate_diagrams, leq
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
     TRIVALENT_FIXTURES,
+    _downset_size,
     _half_pairings,
     bareiss_det,
     change_of_basis,
@@ -22,6 +23,7 @@ from tlmarkov.ortho import (
     verify_orthogonality,
 )
 from tlmarkov.qpoly import (
+    ONE,
     RF_ONE,
     RF_ZERO,
     Polynomial,
@@ -158,6 +160,13 @@ def test_support_fills_the_downset(n):
         support = set(orthogonal_vector(s).coeffs)
         downset = {t for t in enumerate_diagrams(n) if leq(t, s)}
         assert support == downset
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_downset_size_counts_the_downset(n):
+    basis = enumerate_diagrams(n)
+    for b in basis:
+        assert _downset_size(b) == sum(1 for a in basis if leq(a, b)), str(b)
 
 
 @given(st.data())
@@ -329,13 +338,16 @@ def test_bareiss_raw_rows_and_generic_path():
     q = Polynomial((0, 1))
     one = Polynomial((1,))
     half = Polynomial((Fraction(1, 2),))
-    # generic (non-integer) path
+    # Fraction coefficients: the row is cleared to integers, the result unscaled
     assert bareiss_det([[half, one], [one, q]]) == half * q - one
-    # integer path, singular matrix
+    # integer coefficients, singular matrix
     assert bareiss_det([[q, q], [q, q]]) == Polynomial(())
     # pivoting
     zero = Polynomial(())
     assert bareiss_det([[zero, one], [one, zero]]) == Polynomial((-1,))
+    # the empty matrix, and a zero row
+    assert bareiss_det([]) == ONE
+    assert bareiss_det([[q, one], [zero, zero]]) == Polynomial(())
 
 
 def cofactor_determinant(rows):
@@ -361,7 +373,7 @@ def test_bareiss_matches_cofactor_expansion(data):
             Polynomial(
                 tuple(
                     data.draw(
-                        st.lists(st.integers(-3, 3), min_size=0, max_size=3)
+                        st.lists(coefficients(3), min_size=0, max_size=3)
                     )
                 )
             )
