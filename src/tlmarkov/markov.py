@@ -3,8 +3,8 @@
 Gluing a diagram to the mirror image of another closes the arcs into circles;
 the pairing of the two diagrams is q**c where c counts those circles.  Every
 point of 1..2n then carries exactly two arc-ends (one from each diagram), so
-the circles are the connected components of the union multigraph, counted
-here with a union-find.
+each circle alternates arcs of the two diagrams and is counted by walking it
+once (:func:`_circles`).
 
 The form extends bilinearly to formal combinations of diagrams
 (:class:`DiagramVector`) with coefficients in Q(q), and is tabulated over the
@@ -70,6 +70,30 @@ class PairingValue:
         return str(self.monomial)
 
 
+def _partners(m: Matching) -> tuple[int, ...]:
+    """The partner tuple of m on the 0-based points 0..2n-1."""
+    return tuple(p - 1 for p in m.partner)
+
+
+def _circles(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The circles of a glued to the mirror of b, given as 0-based partner
+    tuples: each circle alternates an arc of a and an arc of b, and is walked
+    once."""
+    seen = [False] * len(a)
+    circles = 0
+    # enumerate reads each flag when it reaches it, after earlier walks
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        circles += 1
+        x = start
+        while not seen[x]:
+            y = a[x]
+            seen[x] = seen[y] = True
+            x = b[y]
+    return circles
+
+
 def pair_diagrams(a: Matching, b: Matching) -> PairingValue:
     """Count the circles of the glued configuration of a and the mirror of b.
 
@@ -77,22 +101,7 @@ def pair_diagrams(a: Matching, b: Matching) -> PairingValue:
     """
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    n2 = 2 * a.size
-    parent = list(range(n2))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in (a, b):
-        for i, j in m.arcs:
-            ri, rj = find(i - 1), find(j - 1)
-            if ri != rj:
-                parent[ri] = rj
-
-    circles = sum(1 for x in range(n2) if find(x) == x)
+    circles = _circles(_partners(a), _partners(b))
     assert circles <= a.size
     return PairingValue(circles)
 
@@ -100,14 +109,13 @@ def pair_diagrams(a: Matching, b: Matching) -> PairingValue:
 def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
     """Pairing exponents over enumerate_diagrams(n); the fast integer form of
     the Gram matrix used by verification and the determinant oracle."""
-    basis = enumerate_diagrams(n)
-    matchings = [seq_to_matching(s) for s in basis]
-    size = len(basis)
+    partners = [_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)]
+    size = len(partners)
     rows = [[0] * size for _ in range(size)]
-    for i in range(size):
+    for i, a in enumerate(partners):
+        row = rows[i]
         for j in range(i, size):
-            c = pair_diagrams(matchings[i], matchings[j]).exponent
-            rows[i][j] = rows[j][i] = c
+            row[j] = rows[j][i] = _circles(a, partners[j])
     return tuple(tuple(row) for row in rows)
 
 

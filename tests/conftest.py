@@ -1,11 +1,13 @@
-"""Shared hypothesis strategies for the property suite."""
+"""Shared hypothesis strategies for the property suite, and the term-by-term
+reference for the orthogonal vectors."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from tlmarkov.diagrams import RestrictedSequence
-from tlmarkov.qpoly import Polynomial, RationalFunction
+from tlmarkov.markov import DiagramVector
+from tlmarkov.qpoly import Polynomial, RationalFunction, chebyshev
 
 
 def coefficients(bound: int = 8):
@@ -44,3 +46,21 @@ def restricted_sequences(draw, min_size: int = 1, max_size: int = 8):
     for _ in range(n - 1):
         entries.append(draw(st.integers(1, entries[-1] + 1)))
     return RestrictedSequence(tuple(entries))
+
+
+def term_recursion(s, memo):
+    """Reference for e'_s: the defining recursion
+    e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), carried out
+    one vector at a time through DiagramVector and memoized in ``memo``."""
+    if s.entries not in memo:
+        if s.size == 1:
+            vec = DiagramVector.basis_vector(s)
+        else:
+            tail, head = RestrictedSequence(s.entries[:-1]), s.entries[-1]
+            vec = term_recursion(tail, memo).apply_insert(head)
+            if head > 1:
+                previous = RestrictedSequence(s.entries[:-1] + (head - 1,))
+                ratio = RationalFunction(chebyshev(head - 2), chebyshev(head - 1))
+                vec = vec - term_recursion(previous, memo).scaled(ratio)
+        memo[s.entries] = vec
+    return memo[s.entries]

@@ -165,6 +165,31 @@ def test_gram_diagonal_and_symmetry(n):
             assert exps[i][j] == exps[j][i]
 
 
+def _union_find_circles(a, b):
+    """Reference: the circles of a glued to b as the connected components of
+    the union of their arcs, by union-find over the points."""
+    parent = list(range(2 * a.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m in (a, b):
+        for i, j in m.arcs:
+            parent[find(i - 1)] = find(j - 1)
+    return sum(1 for x in range(len(parent)) if find(x) == x)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_gram_exponents_match_a_union_find_count(n):
+    matchings = [seq_to_matching(s) for s in enumerate_diagrams(n)]
+    assert gram_exponents(n) == tuple(
+        tuple(_union_find_circles(a, b) for b in matchings) for a in matchings
+    )
+
+
 def test_gram_json_round_trip():
     g = gram(2)
     assert SquareMatrix.from_json(g.to_json()) == g

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficients, rational_functions
+from conftest import coefficients, rational_functions, term_recursion
 from tlmarkov.diagrams import RestrictedSequence, enumerate_diagrams, leq
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
@@ -58,6 +58,15 @@ def test_base_vector():
 def test_first_nontrivial_vector():
     v = orthogonal_vector(seq("2,1"))
     assert dict(v.coeffs) == {seq("2,1"): RF_ONE, seq("1,1"): -INV_Q}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_level_builder_matches_the_term_recursion(n):
+    """Reference oracle: the level builder's vector for every sequence of
+    size n equals the defining recursion carried out one vector at a time."""
+    memo = {}
+    for s in enumerate_diagrams(n):
+        assert orthogonal_vector(s) == term_recursion(s, memo), str(s)
 
 
 def test_two_step_vector():
