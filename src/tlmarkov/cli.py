@@ -12,6 +12,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .diagrams import (
     RestrictedSequence,
@@ -32,16 +35,66 @@ from .qpoly import chebyshev
 SCALE_GUARDRAIL = 8  # C_9 = 4862 makes exact Gram work expensive
 
 
+def _iter_json(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` in
+    chunks, for JSON values whose dict keys are str.
+
+    The top value and the direct elements of its lists (the rows of a matrix)
+    are yielded one at a time; anything deeper is rendered whole, each dict
+    object once per depth, so entries that share one dict are rendered once.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def whole(value, depth: int) -> str:
+        if not isinstance(value, dict):
+            return "".join(chunks(value, depth, 0))
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = "".join(chunks(value, depth, 0))
+        return text
+
+    def chunks(value, depth: int, streamed: int) -> Iterator[str]:
+        if isinstance(value, dict):
+            brackets = "{}"
+            members = [
+                (f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(value.items())
+            ]
+        elif isinstance(value, (list, tuple)):
+            brackets = "[]"
+            members = zip(repeat(""), value)
+        else:
+            yield json.dumps(value)
+            return
+        if not value:
+            yield brackets
+            return
+        indent = "\n" + "  " * (depth + 1)
+        yield brackets[0]
+        for i, (prefix, member) in enumerate(members):
+            yield f",{indent}{prefix}" if i else f"{indent}{prefix}"
+            if streamed:
+                yield from chunks(member, depth + 1, streamed - 1)
+            else:
+                yield whole(member, depth + 1)
+        yield "\n" + "  " * depth + brackets[1]
+
+    yield from chunks(obj, 0, 1)
+    yield "\n"
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return "".join(_iter_json(obj))
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str] | str, out_path: str | None) -> None:
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _fail(message: str) -> int:
@@ -93,7 +146,7 @@ def _cmd_enumerate(args) -> int:
             "count": len(sequences),
             "sequences": [list(s.head_first) for s in sequences],
         }
-        _emit(_dump_json(obj), args.out)
+        _emit(_iter_json(obj), args.out)
     else:
         _emit("".join(f"{s}\n" for s in sequences), args.out)
     return 0
@@ -115,7 +168,7 @@ def _cmd_pair(args) -> int:
             "exponent": value.exponent,
             "value": str(value),
         }
-        _emit(_dump_json(obj), args.out)
+        _emit(_iter_json(obj), args.out)
     else:
         _emit(f"{value}\n", args.out)
     return 0
@@ -127,7 +180,7 @@ def _cmd_gram(args) -> int:
         return _fail(problem)
     matrix = gram(args.n)
     if args.format == "json":
-        _emit(_dump_json(matrix.to_json(n=args.n)), args.out)
+        _emit(_iter_json(matrix.to_json(n=args.n)), args.out)
     elif args.format == "csv":
         _emit(matrix.to_csv(), args.out)
     else:
@@ -146,7 +199,7 @@ def _cmd_orthogonalize(args) -> int:
         return _fail("orthogonalize needs n >= 1")
     basis = change_of_basis(args.n)
     if args.format == "json":
-        _emit(_dump_json(basis.to_json()), args.out)
+        _emit(_iter_json(basis.to_json()), args.out)
     elif args.format == "csv":
         text = basis.P.to_csv()
         text += "<diagonal>," + ",".join(f'"{d}"' for d in basis.diagonal) + "\n"
@@ -173,7 +226,7 @@ def _cmd_verify(args) -> int:
     if args.det_oracle:
         report.checks.append(det_oracle_check(args.n))
     if args.format == "json":
-        _emit(_dump_json(report.to_json_obj()), args.out)
+        _emit(_iter_json(report.to_json_obj()), args.out)
     else:
         _emit(report.to_text() + "\n", args.out)
     return 0 if report.passed else 1
@@ -195,7 +248,7 @@ def _cmd_chebyshev(args) -> int:
         if value is not None:
             obj["at"] = args.at
             obj["value"] = repr(value) if isinstance(value, float) else str(value)
-        _emit(_dump_json(obj), args.out)
+        _emit(_iter_json(obj), args.out)
     else:
         if value is None:
             _emit(f"{poly}\n", args.out)
@@ -290,6 +343,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))
+    except OSError as exc:
+        return _fail(f"cannot write {args.out or 'stdout'}: {exc.strerror}")
 
 
 if __name__ == "__main__":

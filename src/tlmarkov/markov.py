@@ -119,6 +119,25 @@ def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def _json_rows(rows: Iterable[Iterable[RationalFunction]]) -> list[list[dict]]:
+    """The to_json() of every entry, one dict object per distinct value, so a
+    renderer can render each value once."""
+    by_value: dict[RationalFunction, dict] = {}
+    # entries are few objects and hashing one is slow, so look up by id first;
+    # holding the entry keeps its id from being reused
+    by_id: dict[int, tuple[RationalFunction, dict]] = {}
+    out = []
+    for row in rows:
+        json_row = []
+        for e in row:
+            seen = by_id.get(id(e))
+            if seen is None:
+                seen = by_id[id(e)] = (e, by_value.setdefault(e, e.to_json()))
+            json_row.append(seen[1])
+        out.append(json_row)
+    return out
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
     """A square matrix over Q(q) indexed by an ordered diagram basis."""
@@ -138,19 +157,10 @@ class SquareMatrix:
     def size(self) -> int:
         return len(self.basis)
 
-    def index(self, s: RestrictedSequence) -> int:
-        try:
-            return self.basis.index(s)
-        except ValueError:
-            raise KeyError(f"{s} is not in the matrix basis") from None
-
-    def entry(self, a: RestrictedSequence, b: RestrictedSequence) -> RationalFunction:
-        return self.entries[self.index(a)][self.index(b)]
-
     def to_json(self, n: int | None = None) -> dict:
         obj = {
             "basis": [list(s.head_first) for s in self.basis],
-            "entries": [[e.to_json() for e in row] for row in self.entries],
+            "entries": _json_rows(self.entries),
         }
         if n is not None:
             obj["n"] = n

@@ -65,7 +65,7 @@ from .diagrams import (
     matching_to_seq,
     seq_to_matching,
 )
-from .markov import DiagramVector, SquareMatrix, gram, gram_exponents
+from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents
 from .qpoly import (
     ONE,
     Q,
@@ -185,11 +185,12 @@ class OrthoBasis:
     diagonal: tuple[RationalFunction, ...]
 
     def to_json(self) -> dict:
+        *P, diagonal = _json_rows((*self.P.entries, self.diagonal))
         return {
             "n": self.n,
             "basis": [list(s.head_first) for s in self.basis],
-            "P": [[e.to_json() for e in row] for row in self.P.entries],
-            "diagonal": [d.to_json() for d in self.diagonal],
+            "P": P,
+            "diagonal": diagonal,
         }
 
 

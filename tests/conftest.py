@@ -64,3 +64,13 @@ def term_recursion(s, memo):
                 vec = vec - term_recursion(previous, memo).scaled(ratio)
         memo[s.entries] = vec
     return memo[s.entries]
+
+
+def assert_one_dict_per_value(entries, dicts):
+    """Each dict is its entry's to_json(), and equal entries share one dict."""
+    entries, dicts = list(entries), list(dicts)
+    assert len(entries) == len(dicts)
+    first = {}
+    for e, d in zip(entries, dicts):
+        assert d == e.to_json()
+        assert first.setdefault(e, d) is d

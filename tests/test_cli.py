@@ -1,10 +1,16 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import errno
 import json
+import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from tlmarkov.cli import main
+from tlmarkov.cli import _dump_json, main
+from tlmarkov.markov import gram
+from tlmarkov.ortho import change_of_basis
 
 
 def run(capsys, *argv):
@@ -204,6 +210,53 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text() == "q^3 - 2*q\n"
+
+
+def test_out_write_error_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "orthogonalize", "3", "--format", "json", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(path) in err and os.strerror(errno.ENOENT) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["orthogonalize", "gram"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_json_output_is_the_stdlib_rendering(tmp_path, capsys, command, n):
+    code, out, _ = run(capsys, command, str(n), "--format", "json")
+    assert code == 0
+    obj = change_of_basis(n).to_json() if command == "orthogonalize" else gram(n).to_json(n=n)
+    assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "out.json"
+    code, _, _ = run(capsys, command, str(n), "--format", "json", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(json_values, st.dictionaries(st.text(), json_values, max_size=3))
+@example({}, {})
+@example([], {"": []})
+@example({"\u00e9\x00\n": ["\x1f\u2603\"\\", "\ud800"]}, {"k\t": {}})
+@example([1.5, -0.0, True, False, None, -3, float("nan"), float("-inf")], {"a": 1e300})
+def test_dump_json_matches_the_stdlib_encoder(value, shared):
+    # shared appears at two positions at depth 2 and once each at depths 1 and 4;
+    # value, when a dict, at depths 1 and 3
+    for obj in (
+        value,
+        [value, shared],
+        {"a": shared, "b": [shared, shared, [value, {"c": shared}]], "c": value},
+    ):
+        assert _dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_unknown_command_exits_2(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_functions, restricted_sequences
+from conftest import assert_one_dict_per_value, rational_functions, restricted_sequences
 from tlmarkov.diagrams import (
     RestrictedSequence,
     contract,
@@ -187,6 +187,15 @@ def test_gram_exponents_match_a_union_find_count(n):
     matchings = [seq_to_matching(s) for s in enumerate_diagrams(n)]
     assert gram_exponents(n) == tuple(
         tuple(_union_find_circles(a, b) for b in matchings) for a in matchings
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_gram_json_shares_one_dict_per_value(n):
+    g = gram(n)
+    assert_one_dict_per_value(
+        (e for row in g.entries for e in row),
+        (d for row in g.to_json()["entries"] for d in row),
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficients, rational_functions, term_recursion
+from conftest import assert_one_dict_per_value, coefficients, rational_functions, term_recursion
 from tlmarkov.diagrams import RestrictedSequence, enumerate_diagrams, leq
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
@@ -541,3 +541,13 @@ def test_ortho_basis_json():
     assert obj["basis"] == [[1, 1], [2, 1]]
     assert obj["P"][1][0] == {"num": {"coeffs": ["-1"]}, "den": {"coeffs": ["0", "1"]}}
     assert obj["diagonal"][0] == {"num": {"coeffs": ["0", "0", "1"]}, "den": {"coeffs": ["1"]}}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ortho_basis_json_shares_one_dict_per_value(n):
+    basis = change_of_basis(n)
+    obj = basis.to_json()
+    assert_one_dict_per_value(
+        [e for row in basis.P.entries for e in row] + list(basis.diagonal),
+        [d for row in obj["P"] for d in row] + obj["diagonal"],
+    )
