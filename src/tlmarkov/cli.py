@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -130,9 +131,12 @@ def _parse_point(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        point = float(text)
     except ValueError:
         raise ValueError(f"invalid evaluation point {text!r}") from None
+    if not math.isfinite(point):
+        raise ValueError(f"invalid evaluation point {text!r}: must be finite")
+    return point
 
 
 def _cmd_enumerate(args) -> int:

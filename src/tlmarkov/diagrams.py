@@ -387,18 +387,19 @@ def quad_reachable(
 
 
 def hasse(n: int) -> tuple[tuple[RestrictedSequence, RestrictedSequence], ...]:
-    """Covering pairs (a, b) of the coordinate-wise order, a covered by b."""
+    """Covering pairs (a, b) of the coordinate-wise order, a covered by b.
+
+    b covers a exactly when b is a with one entry a_i <= a_{i-1} (i >= 2)
+    raised by 1: any a < b reaches b by raising the first differing entry.
+    """
     if n < 1:
         raise ValueError("hasse diagram needs n >= 1")
-    elements = enumerate_diagrams(n)
-    below = {
-        b: [a for a in elements if a != b and leq(a, b)] for b in elements
-    }
     edges: list[tuple[RestrictedSequence, RestrictedSequence]] = []
-    for b in elements:
-        for a in below[b]:
-            if not any(leq(a, c) for c in below[b] if c != a):
-                edges.append((a, b))
+    for a in enumerate_diagrams(n):
+        e = a.entries
+        for i in range(1, n):
+            if e[i] <= e[i - 1]:
+                edges.append((a, RestrictedSequence(e[:i] + (e[i] + 1,) + e[i + 1 :])))
     return tuple(sorted(edges))
 
 

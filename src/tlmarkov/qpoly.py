@@ -67,90 +67,6 @@ def _exactify(c) -> Scalar:
     raise TypeError(f"exact rational coefficient expected, got {type(c).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# Kronecker-substitution kernels for integer-coefficient polynomials.
-#
-# A polynomial with integer coefficients is packed into a single big integer
-# by evaluating at 2**width; CPython's big-integer multiplication then does
-# the convolution.  Signed coefficients are recovered with balanced base-2**w
-# digits, which is faithful whenever every true coefficient has magnitude
-# below 2**(width-1).
-# ---------------------------------------------------------------------------
-
-_KRONECKER_THRESHOLD = 1024  # schoolbook below len(a)*len(b) of this size
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << width) + c
-    return acc
-
-
-def _unpack(value: int, width: int, count: int) -> list[int] | None:
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << width
-        out.append(digit)
-        value = (value - digit) >> width
-    if value != 0:
-        return None
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact product of integer coefficient lists via packed big integers."""
-    if not a or not b:
-        return []
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() + 2
-    out = _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
-    assert out is not None  # width was chosen from a proven coefficient bound
-    return out
-
-
-def _int_divexact(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """Quotient of an exact division a = b*c, or None if b does not divide a.
-
-    Works on packed integers: the polynomial identity holds at 2**width, so
-    the integer quotient *is* the packed quotient.  The decoded candidate is
-    verified by re-multiplication; on balanced-digit overflow the width is
-    doubled and the division retried.
-    """
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return []
-    if len(a) < len(b):
-        return None
-    width = max(max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length(), 1) + 66
-    count = len(a) - len(b) + 1
-    for _ in range(8):
-        quotient, remainder = divmod(_pack(a, width), _pack(b, width))
-        if remainder != 0:
-            # an exact division a = b*c holds at 2**width as integers, so a
-            # nonzero remainder proves b does not divide a over the integers
-            return None
-        c = _unpack(quotient, width, count)
-        if c is not None and _int_mul(b, c) == list(a):
-            return c
-        # balanced-digit overflow: the true quotient coefficients exceed the
-        # current digit range; widen and retry
-        width *= 2
-    # pathological case (e.g. divisible over Q but not over Z): settle it
-    # with classical division
-    quot, rem = Polynomial(tuple(a)).divrem(Polynomial(tuple(b)))
-    if not rem.is_zero:
-        return None
-    return quot._int_coeffs()
-
-
 def _int_content(coeffs: Sequence[int]) -> int:
     g = 0
     for c in coeffs:
@@ -251,11 +167,6 @@ class Polynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def _int_coeffs(self) -> list[int] | None:
-        if all(type(c) is int for c in self.coeffs):
-            return list(self.coeffs)
-        return None
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
@@ -295,10 +206,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        if len(a) * len(b) >= _KRONECKER_THRESHOLD:
-            ia, ib = self._int_coeffs(), other._int_coeffs()
-            if ia is not None and ib is not None:
-                return Polynomial(tuple(_int_mul(ia, ib)))
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c == 0:
@@ -571,10 +478,12 @@ def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     di, dscale = _clear_denominators(den.coeffs)
     g = _int_gcd(ni, di)
     if len(g) > 1:
-        nq = _int_divexact(ni, g)
-        dq = _int_divexact(di, g)
-        assert nq is not None and dq is not None
-        ni, di = nq, dq
+        # g is primitive, so by Gauss's lemma both quotients are integral
+        divisor = Polynomial(tuple(g))
+        nq, nr = Polynomial(tuple(ni)).divrem(divisor)
+        dq, dr = Polynomial(tuple(di)).divrem(divisor)
+        assert nr.is_zero and dr.is_zero
+        ni, di = nq.coeffs, dq.coeffs
     # scalar part: (dscale/nscale) carried onto the numerator, then the
     # denominator made monic
     scalar = Fraction(dscale, nscale) / Fraction(di[-1])

@@ -74,6 +74,13 @@ def test_chebyshev_bad_point(capsys):
     assert "evaluation point" in err
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
+def test_chebyshev_rejects_non_finite_point(capsys, text):
+    code, out, err = run(capsys, "chebyshev", "3", f"--at={text}")
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid evaluation point '{text}': must be finite\n"
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run(capsys, "enumerate", "3")
     assert code == 0

@@ -359,9 +359,10 @@ def test_hasse_small():
     assert [(str(a), str(b)) for a, b in hasse(2)] == [("1,1", "2,1")]
 
 
-def test_hasse_edges_are_covers():
-    elements = enumerate_diagrams(4)
-    edges = set(hasse(4))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hasse_edges_are_covers(n):
+    elements = enumerate_diagrams(n)
+    edges = set(hasse(n))
     for a in elements:
         for b in elements:
             if a == b or not leq(a, b):

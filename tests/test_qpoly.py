@@ -82,8 +82,7 @@ def test_mul_matches_schoolbook(a, b):
     assert a * b == schoolbook_product(a, b)
 
 
-def test_kronecker_path_matches_schoolbook():
-    # large enough to cross the packed-integer multiplication threshold
+def test_large_product_matches_schoolbook():
     a = Polynomial(tuple((-1) ** i * (i + 1) for i in range(40)))
     b = Polynomial(tuple((i % 7) - 3 for i in range(41)))
     assert a * b == schoolbook_product(a, b)
@@ -93,28 +92,18 @@ def test_kronecker_path_matches_schoolbook():
     st.lists(st.integers(-50, 50), min_size=1, max_size=30),
     st.lists(st.integers(-50, 50), min_size=1, max_size=30),
 )
-def test_packed_exact_division_inverts_multiplication(a_coeffs, b_coeffs):
-    from tlmarkov.qpoly import _int_divexact, _int_mul
-
-    a = [c for c in a_coeffs]
-    b = [c for c in b_coeffs]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a or not b:
+def test_exact_division_inverts_multiplication(a_coeffs, b_coeffs):
+    a, b = Polynomial(tuple(a_coeffs)), Polynomial(tuple(b_coeffs))
+    if a.is_zero or b.is_zero:
         return
-    product = _int_mul(a, b)
-    assert _int_divexact(product, b) == a
-    assert _int_divexact(product, a) == b
+    product = a * b
+    assert poly_divrem(product, b) == (a, ZERO)
+    assert poly_divrem(product, a) == (b, ZERO)
 
 
-def test_packed_division_detects_inexactness():
-    from tlmarkov.qpoly import _int_divexact
-
-    assert _int_divexact([1, 1], [3, 1]) is None
-    assert _int_divexact([0, 0, 1], [2]) is None  # divisible over Q, not over Z
-    assert _int_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
+def test_exact_division_detects_inexactness():
+    assert not poly_divrem(poly(1, 1), poly(3, 1))[1].is_zero
+    assert poly_divrem(poly(-1, 0, 1), poly(-1, 1)) == (poly(1, 1), ZERO)
 
 
 @given(polynomials(), polynomials(), polynomials())
@@ -184,6 +173,17 @@ def test_nested_denominator_addition():
     a = rf((-1,), (0, 1))  # -1/q
     b = rf((-1,), (0, -1, 0, 1))  # -1/(q(q^2-1))
     assert a + b == rf((0, -1), (-1, 0, 1))  # -q/(q^2-1)
+
+
+@pytest.mark.parametrize(
+    "common", [poly(1, 2), poly(Fraction(1, 2), 1)], ids=["2q+1", "q+1/2"]
+)
+def test_reduction_by_a_non_monic_gcd(common):
+    # the cleared operands share the primitive gcd 2q + 1, which is not monic
+    x = RationalFunction(common * poly(-3, 1), common * poly(5, 1))
+    assert (x.num, x.den) == (poly(-3, 1), poly(5, 1))
+    assert all(type(c) is int for c in x.num.coeffs + x.den.coeffs)
+    assert x.den.is_monic
 
 
 def test_division_by_zero_rational_function():
