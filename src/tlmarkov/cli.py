@@ -34,6 +34,7 @@ from .ortho import (
 from .qpoly import chebyshev
 
 SCALE_GUARDRAIL = 8  # C_9 = 4862 makes exact Gram work expensive
+DET_ORACLE_GUARDRAIL = 5  # at 6, one of 793 elimination points can take seconds
 
 
 def _iter_json(obj) -> Iterator[str]:
@@ -224,6 +225,13 @@ def _cmd_verify(args) -> int:
         return _fail(problem)
     if args.n < 1:
         return _fail("verify needs n >= 1")
+    if args.det_oracle and args.n > DET_ORACLE_GUARDRAIL and (
+        args.max_n is None or args.n > args.max_n
+    ):
+        return _fail(
+            f"--det-oracle at n = {args.n} exceeds its guardrail "
+            f"({DET_ORACLE_GUARDRAIL}); pass --max-n {args.n} to override"
+        )
     report = verify_orthogonality(args.n)
     if args.n == 3:
         report.checks.extend(check_fixture_bases().checks)

@@ -16,9 +16,10 @@ entries are the products of Chebyshev quotients
     <e'_a, e'_a> = prod_i Delta_{a_i} / Delta_{a_i - 1}.
 
 :func:`orthogonal_vector` builds all the vectors of one size at once from
-those one size down: l_h is a lift table on diagram indices, computed once
-per head h, and each coefficient of the recursion is computed once per
-distinct (h, lifted, previous) triple of coefficients.
+those one size down, and each coefficient of the recursion is computed once
+per distinct (h, lifted, previous) triple of coefficients.  The builder and
+the verifier read one table of l_h and tau_h images per size (:func:`_level`),
+built once per process; each image is found by its :class:`Matching`.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -62,10 +63,9 @@ from .diagrams import (
     enumerate_diagrams,
     insert_arc,
     leq,
-    matching_to_seq,
     seq_to_matching,
 )
-from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents
+from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents, pair_vectors
 from .qpoly import (
     ONE,
     Q,
@@ -134,20 +134,15 @@ def _build_level(k: int) -> None:
     e'_() is e_().  A vector already in the memo is kept, and the vectors
     built after it in the level are built from it.
     """
-    below = enumerate_diagrams(k - 1)
-    basis = enumerate_diagrams(k)
-    below_index = {t: u for u, t in enumerate(below)}
-    lift = _lift_table(
-        [seq_to_matching(t) for t in below], {s: i for i, s in enumerate(basis)}, k
-    )
+    below, level = _level(k - 1), _level(k)
     # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples
     combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
-    for t in below:
+    for t in below.basis:
         tail = orthogonal_vector(t) if t.size else DiagramVector.basis_vector(t)
         previous: Mapping[RestrictedSequence, RationalFunction] = {}
         for h in _heads(t):
-            images = lift[h - 1]
-            column = {basis[images[below_index[u]]]: c for u, c in tail.coeffs.items()}
+            images = level.lift[h - 1]
+            column = {level.basis[images[below.index[u]]]: c for u, c in tail.coeffs.items()}
             # previous is empty for h = 1; DiagramVector drops the zeros
             for key, value in previous.items():
                 column[key] = _combined(combined, h, column.get(key, RF_ZERO), value)
@@ -278,59 +273,48 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _head_major_key(s: RestrictedSequence) -> tuple[int, ...]:
-    # head-major lexicographic key: a_n most significant; it refines the
-    # coordinate-wise order
-    return s.head_first
-
-
 @dataclass(frozen=True)
 class _Level:
-    """How the diagrams of size k arise from those of size k - 1.
+    """The diagrams of size k and how they arise from those of size k - 1.
 
-    ``contract[b][h - 1]`` is ``(u, c)`` with u the index of tau_h(b) in
-    B_{k-1} and c the loops the contraction closes; ``lift[h - 1][u]`` is the
-    index of l_h(u) in B_k.  Heads run over 1..k.
+    ``index`` maps each diagram of ``basis`` (B_k) to its position, and
+    ``matchings`` each diagram's matching, in the same order.
+    ``lift[h - 1][u]`` is the index of l_h(u) in B_k for the u-th diagram of
+    B_{k-1}; ``contract[b][h - 1]`` is ``(u, c)`` with u the index of
+    tau_h(b) in B_{k-1} and c the loops the contraction closes.  Heads run
+    over 1..k.
     """
 
-    below: tuple[RestrictedSequence, ...]
     basis: tuple[RestrictedSequence, ...]
-    contract: tuple[tuple[tuple[int, int], ...], ...]
+    index: dict[RestrictedSequence, int]
+    matchings: dict[Matching, int]
     lift: tuple[tuple[int, ...], ...]
 
-
-def _lift_table(
-    below_matchings: Sequence[Matching], index: dict[RestrictedSequence, int], k: int
-) -> tuple[tuple[int, ...], ...]:
-    """``table[h - 1][u]`` is the index in B_k, through ``index``, of l_h
-    applied to the u-th diagram of B_{k-1}; heads run over 1..k."""
-    return tuple(
-        tuple(index[matching_to_seq(insert_arc(m, h))] for m in below_matchings)
-        for h in range(1, k + 1)
-    )
-
-
-def _levels(n: int) -> list[_Level]:
-    """The contraction and lift tables from size 1 up to size n."""
-    levels = []
-    below = enumerate_diagrams(0)
-    below_index = {s: i for i, s in enumerate(below)}
-    below_matchings = [seq_to_matching(s) for s in below]
-    for k in range(1, n + 1):
-        basis = enumerate_diagrams(k)
-        index = {s: i for i, s in enumerate(basis)}
-        matchings = [seq_to_matching(s) for s in basis]
-        contracted = []
-        for m in matchings:
+    @functools.cached_property
+    def contract(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # only the verifier reads it, so orthogonalize never builds it
+        k = len(self.lift)
+        below = _level(k - 1).matchings if k else {}
+        rows = []
+        for m in self.matchings:
             row = []
             for h in range(1, k + 1):
                 image, loops = contract(m, h)
-                row.append((below_index[matching_to_seq(image)], loops))
-            contracted.append(tuple(row))
-        lift = _lift_table(below_matchings, index, k)
-        levels.append(_Level(below, basis, tuple(contracted), lift))
-        below, below_index, below_matchings = basis, index, matchings
-    return levels
+                row.append((below[image], loops))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+
+@functools.cache
+def _level(k: int) -> _Level:
+    """The tables of size k, built once; ``_level.cache_clear()`` drops them."""
+    basis = enumerate_diagrams(k)
+    matchings = {seq_to_matching(s): i for i, s in enumerate(basis)}
+    below = _level(k - 1).matchings if k else {}
+    lift = tuple(
+        tuple(matchings[insert_arc(m, h)] for m in below) for h in range(1, k + 1)
+    )
+    return _Level(basis, {s: i for i, s in enumerate(basis)}, matchings, lift)
 
 
 def _downset_size(b: RestrictedSequence) -> int:
@@ -371,9 +355,7 @@ def _combined(
     return value
 
 
-def _half_pairings(
-    n: int, levels: list[_Level] | None = None
-) -> list[dict[int, RationalFunction]]:
+def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
     """The half-pairings H[b][a] = <e_b, e'_a> over enumerate_diagrams(n), as
     sparse columns: column a maps the index of each b with H[b][a] != 0 to
     the entry.
@@ -388,23 +370,20 @@ def _half_pairings(
     No vector and no Gram entry is read; :func:`verify_orthogonality`
     certifies that the result equals G P^T for the stored vectors.
     """
-    if levels is None:
-        levels = _levels(n)
     q = RationalFunction.from_polynomial(Q)
     # the entries repeat, so each field operation is done once per operands
     raised: dict[RationalFunction, RationalFunction] = {}
     combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
     columns: list[dict[int, RationalFunction]] = [{0: RF_ONE}]
-    for k, level in enumerate(levels, start=1):
-        preimages: list[list[list[tuple[int, int]]]] = [
-            [[] for _ in level.below] for _ in range(k)
-        ]
+    for k in range(1, n + 1):
+        below, level = _level(k - 1).basis, _level(k)
+        preimages: list[list[list[tuple[int, int]]]] = [[[] for _ in below] for _ in range(k)]
         for b, row in enumerate(level.contract):
             for h, (u, loops) in enumerate(row):
                 preimages[h][u].append((b, loops))
         # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
         upper: list[dict[int, RationalFunction]] = []
-        for t_idx, t in enumerate(level.below):
+        for t_idx, t in enumerate(below):
             previous: dict[int, RationalFunction] = {}
             for h in _heads(t):
                 column = {}
@@ -430,12 +409,13 @@ def _half_pairings(
     return columns
 
 
-def _adjunction_mismatches(levels: list[_Level]) -> list[str]:
+def _adjunction_mismatches(n: int) -> list[str]:
     """Link (i): <e_b, l_h e_u> = q^c <tau_h e_b, e_u> on the pairing
     exponents, for every b of size k <= n, head h and u of size k - 1."""
     bad = []
     lower = gram_exponents(0)
-    for k, level in enumerate(levels, start=1):
+    for k in range(1, n + 1):
+        below, level = _level(k - 1).basis, _level(k)
         upper = gram_exponents(k)
         for b_idx, row in enumerate(level.contract):
             exponents = upper[b_idx]
@@ -444,7 +424,7 @@ def _adjunction_mismatches(levels: list[_Level]) -> list[str]:
                 want = [loops + c for c in lower[u_idx]]
                 if got != want:
                     b = level.basis[b_idx]
-                    for u, x, y in zip(level.below, got, want):
+                    for u, x, y in zip(below, got, want):
                         if x != y:
                             bad.append(
                                 f"<e_{b}, l_{h} e_{u}> = q^{x} != q^{y} = "
@@ -454,7 +434,7 @@ def _adjunction_mismatches(levels: list[_Level]) -> list[str]:
     return bad
 
 
-def _recursion_mismatches(levels: list[_Level]) -> list[str]:
+def _recursion_mismatches(n: int) -> list[str]:
     """Link (ii): every stored vector satisfies its defining recursion
     e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), through the
     lift table of link (i), and e'_(1) = e_(1)."""
@@ -465,16 +445,16 @@ def _recursion_mismatches(levels: list[_Level]) -> list[str]:
     first = RestrictedSequence((1,))
     if orthogonal_vector(first) != DiagramVector.basis_vector(first):
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
-    for level in levels[1:]:
-        index = {s: i for i, s in enumerate(level.below)}
-        for t in level.below:
+    for k in range(2, n + 1):
+        below, level = _level(k - 1), _level(k)
+        for t in below.basis:
             tail = orthogonal_vector(t).coeffs
             previous: dict[RestrictedSequence, RationalFunction] = {}
             for h in _heads(t):
                 a = RestrictedSequence(t.entries + (h,))
                 got = orthogonal_vector(a).coeffs
                 lift = level.lift[h - 1]
-                lifted = {level.basis[lift[index[u]]]: c for u, c in tail.items()}
+                lifted = {level.basis[lift[below.index[u]]]: c for u, c in tail.items()}
                 recursion = f"l_{h}(e'_{t})"
                 if h > 1:
                     recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
@@ -495,9 +475,8 @@ def verify_orthogonality(n: int) -> VerificationReport:
     if n < 1:
         raise ValueError("verification needs n >= 1")
     report = VerificationReport(label=f"verify n={n}")
-    basis = enumerate_diagrams(n)
+    basis, index = _level(n).basis, _level(n).index
     size = len(basis)
-    index = {s: i for i, s in enumerate(basis)}
     rows = [orthogonal_vector(s) for s in basis]
 
     # unitriangularity
@@ -554,10 +533,11 @@ def verify_orthogonality(n: int) -> VerificationReport:
     # (G P^T)[b][(t,h)] expands through (ii) into pairings <e_b, l_h e_u>,
     # which (i) turns into q^c <tau_h e_b, e_u>, the recursion of H.
     start = time.perf_counter()
-    levels = _levels(n)
-    link_bad = _adjunction_mismatches(levels) + _recursion_mismatches(levels)
-    half = _half_pairings(n, levels)
-    head_keys = [_head_major_key(s) for s in basis]
+    link_bad = _adjunction_mismatches(n) + _recursion_mismatches(n)
+    half = _half_pairings(n)
+    # head-major lexicographic key: a_n most significant; it refines the
+    # coordinate-wise order
+    head_keys = [s.head_first for s in basis]
     triangle_bad: list[str] = []
     diagonal_bad: list[str] = []
     for a_idx, column in enumerate(half):
@@ -895,36 +875,17 @@ TRIVALENT_FIXTURES: tuple[FixtureBasis, ...] = (
 )
 
 
-def _fixture_gram(
-    matrix: Sequence[Sequence[RationalFunction]], gram3: SquareMatrix
-) -> list[list[RationalFunction]]:
-    size = len(matrix)
-    out = [[RF_ZERO] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            acc = RF_ZERO
-            for i in range(size):
-                ca = matrix[a][i]
-                if ca.is_zero:
-                    continue
-                for j in range(size):
-                    cb = matrix[b][j]
-                    if cb.is_zero:
-                        continue
-                    acc = acc + ca * cb * gram3.entries[i][j]
-            out[a][b] = out[b][a] = acc
-    return out
-
 def _fixture_mismatches(
     fixture: FixtureBasis, gram3: SquareMatrix
 ) -> list[tuple[int, int, RationalFunction, RationalFunction]]:
-    computed = _fixture_gram(fixture.matrix, gram3)
+    rows = [DiagramVector.from_terms(3, zip(gram3.basis, row)) for row in fixture.matrix]
     bad = []
     for a in range(len(fixture.matrix)):
         for b in range(len(fixture.matrix)):
             want = fixture.diagonal[a] if a == b else RF_ZERO
-            if computed[a][b] != want:
-                bad.append((a, b, computed[a][b], want))
+            got = pair_vectors(rows[a], rows[b], gram3)
+            if got != want:
+                bad.append((a, b, got, want))
     return bad
 
 

@@ -167,6 +167,39 @@ def test_verify_with_det_oracle(capsys):
     assert "determinant-oracle: PASS" in out
 
 
+def test_det_oracle_guardrail_exits_before_any_work(capsys, monkeypatch):
+    import tlmarkov.cli as cli_module
+
+    def unreachable(n):
+        raise AssertionError("the guardrail must stop verify before it starts")
+
+    monkeypatch.setattr(cli_module, "verify_orthogonality", unreachable)
+    monkeypatch.setattr(cli_module, "det_oracle_check", unreachable)
+    code, out, err = run(capsys, "verify", "6", "--det-oracle")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --det-oracle at n = 6 exceeds its guardrail (5); "
+        "pass --max-n 6 to override\n"
+    )
+
+
+def test_det_oracle_guardrail_yields_to_max_n(capsys, monkeypatch):
+    import tlmarkov.cli as cli_module
+    from tlmarkov.ortho import CheckResult
+
+    calls = []
+
+    def stub(n):
+        calls.append(n)
+        return CheckResult("determinant-oracle", True, 0.0, "stub")
+
+    monkeypatch.setattr(cli_module, "det_oracle_check", stub)
+    code, out, _ = run(capsys, "verify", "6", "--det-oracle", "--max-n", "6")
+    assert code == 0
+    assert calls == [6]
+    assert "determinant-oracle: PASS (0.000s) -- stub" in out
+
+
 def test_verify_n3_flags_fixture_erratum(capsys):
     code, out, _ = run(capsys, "verify", "3")
     assert code == 0

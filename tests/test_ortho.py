@@ -7,12 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_one_dict_per_value, coefficients, rational_functions, term_recursion
-from tlmarkov.diagrams import RestrictedSequence, enumerate_diagrams, leq
+from tlmarkov.diagrams import (
+    RestrictedSequence,
+    contract,
+    enumerate_diagrams,
+    insert_arc,
+    leq,
+    matching_to_seq,
+    seq_to_matching,
+)
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
     TRIVALENT_FIXTURES,
     _downset_size,
     _half_pairings,
+    _level,
     bareiss_det,
     change_of_basis,
     check_fixture_bases,
@@ -297,8 +306,8 @@ def test_verify_reports_the_literal_entry_of_a_surviving_term(monkeypatch):
 
     true_half_pairings = ortho_module._half_pairings
 
-    def tampered(n, levels=None):
-        columns = true_half_pairings(n, levels)
+    def tampered(n):
+        columns = true_half_pairings(n)
         columns[1][0] = INV_Q  # <e_1,1, e'_2,1> = 1/q, below the triangle
         return columns
 
@@ -309,6 +318,96 @@ def test_verify_reports_the_literal_entry_of_a_surviving_term(monkeypatch):
     assert by_name["orthogonality"].details == (
         "<e'_1,1, e'_2,1> = 1/q (expected 0); <e'_2,1, e'_1,1> = 1/q (expected 0)"
     )
+
+
+def _checks_with(sequence, corrupted, n):
+    with _with_corrupted_vector(sequence, corrupted):
+        report = verify_orthogonality(n)
+    return {c.name: c for c in report.checks}
+
+
+def test_verify_reports_a_scaled_base_vector():
+    """e'_1 = 2 e_1 fails the unit diagonal, the base case of check (ii) and
+    the diagonal formula."""
+    checks = _checks_with(seq("1"), DiagramVector.from_terms(1, [(seq("1"), rf((2,)))]), 1)
+    assert not checks["unitriangular"].passed
+    assert checks["unitriangular"].details == "bad rows: ['1']"
+    assert not checks["half-pairing"].passed
+    assert checks["half-pairing"].details == "e'_1 = (2)*e[1] != e_1"
+    assert not checks["diagonal-formula"].passed
+    assert checks["diagonal-formula"].details == "<e'_1, e'_1> = 2*q != q"
+
+
+def test_verify_reports_support_outside_the_downset():
+    """e'_1,1 = e_1,1 + e_2,1 leaves its downset, and the orthogonality check
+    reaches a literal entry through the support violation."""
+    wrong = DiagramVector.from_terms(2, [(seq("1,1"), RF_ONE), (seq("2,1"), RF_ONE)])
+    checks = _checks_with(seq("1,1"), wrong, 2)
+    assert not checks["downset-support"].passed
+    assert checks["downset-support"].details == "e'_1,1 contains 2,1"
+    assert not checks["orthogonality"].passed
+    assert checks["orthogonality"].details == (
+        "<e'_1,1, e'_2,1> = q^2 - 1 (expected 0); <e'_2,1, e'_1,1> = q^2 - 1 (expected 0)"
+    )
+
+
+def test_verify_reports_a_missing_recursion_term():
+    """e'_2,1 = e_2,1 stays inside its downset but breaks its recursion."""
+    checks = _checks_with(seq("2,1"), DiagramVector.basis_vector(seq("2,1")), 2)
+    assert checks["downset-support"].passed
+    assert checks["downset-support"].details == (
+        "2 coefficients inside downsets (of 3 downset slots)"
+    )
+    assert not checks["half-pairing"].passed
+    assert checks["half-pairing"].details.startswith("e'_2,1 has 0 != -1/q on e_1,1 by ")
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_level_tables_match_the_sequence_route(k):
+    """Reference oracle: every l_h and tau_h image in the tables of size k is
+    the diagram the restricted-sequence route names."""
+    level = _level(k)
+    basis = enumerate_diagrams(k)
+    assert level.basis == basis
+    index = {s: i for i, s in enumerate(basis)}
+    below = enumerate_diagrams(k - 1) if k else ()
+    below_index = {s: i for i, s in enumerate(below)}
+    assert len(level.lift) == k
+    for h, images in enumerate(level.lift, start=1):
+        assert images == tuple(
+            index[matching_to_seq(insert_arc(seq_to_matching(u), h))] for u in below
+        )
+    assert len(level.contract) == len(basis)
+    for b, row in zip(basis, level.contract):
+        want = []
+        for h in range(1, k + 1):
+            image, loops = contract(seq_to_matching(b), h)
+            want.append((below_index[matching_to_seq(image)], loops))
+        assert row == tuple(want), str(b)
+    # tau_h l_h closes the one loop it inserted
+    for h, images in enumerate(level.lift, start=1):
+        for u, image in enumerate(images):
+            assert level.contract[image][h - 1] == (u, 1)
+
+
+def test_each_size_builds_its_tables_once():
+    """Building the vectors reads only the lift tables; the verifier adds the
+    contraction tables, and nothing rebuilds a size."""
+    from tlmarkov import ortho as ortho_module
+
+    saved = dict(ortho_module._VECTOR_CACHE)
+    ortho_module._VECTOR_CACHE.clear()
+    _level.cache_clear()
+    try:
+        change_of_basis(4)
+        assert _level.cache_info().misses == 5
+        assert not any("contract" in vars(_level(k)) for k in range(5))
+        assert verify_orthogonality(4).passed
+        assert _level.cache_info().misses == 5
+        assert all("contract" in vars(_level(k)) for k in range(1, 5))
+    finally:
+        ortho_module._VECTOR_CACHE.clear()
+        ortho_module._VECTOR_CACHE.update(saved)
 
 
 def test_change_of_basis_raises_on_broken_unitriangularity():
