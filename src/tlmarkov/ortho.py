@@ -44,6 +44,9 @@ the diagonal reduces to 1 * H[a][a].
 :func:`bareiss_det` provides the independent fraction-free determinant
 oracle, and :func:`det_product` the predicted product form; their exact
 agreement cross-checks the diagonalization against the Gram determinant.
+Every loop count satisfies c(a, b) = c(a, 0) + c(0, b) + c(0, 0) (mod 2), so
+G(q) = diag(q^rho) B(q^2) diag(q^sigma); the oracle finds this split by
+testing every entry and eliminates over y = q^2, at half the degree.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .qpoly import (
     Q,
     RF_ONE,
     RF_ZERO,
+    ZERO,
     Polynomial,
     RationalFunction,
     chebyshev,
@@ -634,12 +638,15 @@ def bareiss_det(matrix) -> Polynomial:
 
     Accepts a :class:`SquareMatrix` whose entries are polynomials (denominator
     1) or a raw square sequence of :class:`Polynomial` rows.  Each row is
-    scaled to integer coefficients by the lcm of its denominators.  The
-    determinant then has degree at most D, the sum over rows of the largest
-    entry degree, so the integer matrix is evaluated at D + 1 integers
-    centred on 0, each value matrix is reduced by Bareiss elimination on
-    plain integers, and the values are interpolated exactly and unscaled.
-    Every division of the elimination is exact; an inexact one raises
+    scaled to integer coefficients by the lcm of its denominators, and the
+    matrix is reduced to det = q^shift * det B(q^step) before anything is
+    evaluated (:func:`_reduce_powers`); step is 2 when the exponents split
+    into row and column parities.  The degree of det B is at most D, the sum
+    over rows of the largest entry degree, so B is evaluated at D + 1
+    integers centred on 0, each value matrix is reduced by Bareiss
+    elimination on plain integers, and the values are interpolated exactly,
+    unscaled and spread over the powers q^(shift + step * i).  Every division
+    of the elimination is exact; an inexact one raises
     :class:`InternalCheckError`.
     """
     rows = _polynomial_rows(matrix)
@@ -651,15 +658,100 @@ def bareiss_det(matrix) -> Polynomial:
         factor = math.lcm(*(c.denominator for p in row for c in p.coeffs))
         scale *= factor
         int_rows.append([[int(c * factor) for c in p.coeffs] for p in row])
-    # a zero row counts -1, harmless: the determinant is then 0 everywhere
+    reduced = _reduce_powers(int_rows)
+    if reduced is None:
+        return ZERO
+    int_rows, shift, step = reduced
     degree = sum(max(len(cs) for cs in row) - 1 for row in int_rows)
     low = -(degree // 2)
     points = range(low, low + degree + 1)
     values = [
-        _integer_det([[_horner(cs, x) for cs in row] for row in int_rows])
-        for x in points
+        _integer_det([[_horner(cs, y) for cs in row] for row in int_rows])
+        for y in points
     ]
-    return Polynomial(tuple(c / scale for c in _interpolate(points, values)))
+    coeffs = [Fraction(0)] * (shift + step * degree + 1)
+    coeffs[shift::step] = [c / scale for c in _interpolate(points, values)]
+    return Polynomial(tuple(coeffs))
+
+
+def _reduce_powers(
+    rows: list[list[list]],
+) -> tuple[list[list[list]], int, int] | None:
+    """Rows of B, shift and step with det = q^shift * det B(q^step), from
+    ascending coefficient lists; None when a row or a column is zero.
+
+    The lowest power of q is pulled out of each row, then of each column.
+    If the exponents split into row and column parities
+    (:func:`_parity_split`), each entry (a, b) is multiplied by
+    q^(sigma_b - rho_a), or by its inverse: an entry of parity 1 has
+    rho_a != sigma_b, so every exponent becomes even and none negative.  The
+    determinant moves by q^(sum rho - sum sigma) or its inverse, whichever
+    is a polynomial, and each entry is read in y = q^2 from ``cs[p::2]``.
+    """
+    shift = 0
+    for _ in range(2):  # rows, then columns: each pass ends transposed
+        lows = [
+            min((next(i for i, c in enumerate(cs) if c) for cs in row if cs), default=None)
+            for row in rows
+        ]
+        if None in lows:
+            return None
+        shift += sum(lows)
+        rows = [[cs[low:] for cs in row] for row, low in zip(rows, lows)]
+        rows = [list(col) for col in zip(*rows)]
+    split = _parity_split(rows)
+    if split is None:
+        return rows, shift, 1
+    rho, sigma = split
+    sign = 1 if sum(rho) >= sum(sigma) else -1
+    shift += sign * (sum(rho) - sum(sigma))
+    halved = []
+    for row, r in zip(rows, rho):
+        out = []
+        for cs, s in zip(row, sigma):
+            if cs:
+                # exponents p + 2i move to p + 2i + sign * (s - r), all even
+                p = (r + s) % 2
+                pad = 1 if sign * (s - r) > 0 else 0
+                cs = [0] * pad + cs[p::2]
+            out.append(cs)
+        halved.append(out)
+    return halved, shift, 2
+
+
+def _parity_split(rows: list[list[list]]) -> tuple[list[int], list[int]] | None:
+    """Row and column parities (rho, sigma) such that every nonzero
+    coefficient of entry (a, b) sits at an exponent of parity
+    rho[a] + sigma[b], or None if there are none.
+
+    Each row not yet reached gets parity 0 and starts a walk through the rows
+    and columns joined to it by nonzero entries.  Every entry is checked when
+    its row is taken from the walk: it must have one parity, and that parity
+    fixes its column's or must agree with it.
+    """
+    size = len(rows)
+    rho, sigma = [None] * size, [None] * size
+    for root in range(size):
+        if rho[root] is not None:
+            continue
+        rho[root], todo = 0, [root]
+        while todo:
+            a = todo.pop()
+            for b, cs in enumerate(rows[a]):
+                if not cs:
+                    continue
+                odd = any(cs[1::2])
+                if odd and any(cs[::2]):
+                    return None
+                if sigma[b] is None:
+                    sigma[b] = rho[a] ^ odd
+                    for other, row in enumerate(rows):
+                        if row[b] and rho[other] is None:
+                            rho[other] = sigma[b] ^ any(row[b][1::2])
+                            todo.append(other)
+                elif sigma[b] != rho[a] ^ odd:
+                    return None
+    return rho, sigma
 
 
 def _polynomial_rows(matrix) -> list[list[Polynomial]]:

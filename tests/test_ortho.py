@@ -1,5 +1,6 @@
 """Orthogonal basis construction, exact verification, and the determinant oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from tlmarkov.ortho import (
     _downset_size,
     _half_pairings,
     _level,
+    _reduce_powers,
     bareiss_det,
     change_of_basis,
     check_fixture_bases,
@@ -492,6 +494,77 @@ def test_bareiss_matches_cofactor_expansion(data):
     assert bareiss_det(rows) == cofactor_determinant(rows)
 
 
+def reduction_step(rows):
+    reduced = _reduce_powers([[list(p.coeffs) for p in row] for row in rows])
+    return None if reduced is None else reduced[2]
+
+
+def has_zero_line(rows):
+    return any(all(e.is_zero for e in line) for line in [*rows, *zip(*rows)])
+
+
+def spread(shift, ys):
+    """The coefficients of q^shift * Y(q^2) from those of Y."""
+    cs = [0] * (shift + 2 * len(ys))
+    cs[shift::2] = ys
+    return cs
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_bareiss_on_the_q_squared_path(data):
+    # G = diag(q^rho) * B(q^2) * diag(q^sigma): the reduction takes step 2
+    size = data.draw(st.integers(1, 4))
+    rho = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    sigma = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    ys = [
+        [data.draw(st.lists(coefficients(3), max_size=3)) for _ in range(size)]
+        for _ in range(size)
+    ]
+    zero_row = data.draw(st.none() | st.integers(0, size - 1))
+    if zero_row is not None:
+        ys[zero_row] = [[] for _ in range(size)]
+    rows = [
+        [Polynomial(tuple(spread(r + s, y))) for y, s in zip(row, sigma)]
+        for row, r in zip(ys, rho)
+    ]
+    assert reduction_step(rows) == (None if has_zero_line(rows) else 2)
+    assert bareiss_det(rows) == cofactor_determinant(rows)
+
+    # one entry with a term of the other parity takes step 1
+    a, b = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    shift = rho[a] + sigma[b]
+    same = Polynomial(tuple(spread(shift, ys[a][b] if any(ys[a][b]) else [1])))
+    other = 2 * data.draw(st.integers(0, 4)) + 1 - shift % 2
+    bump = Polynomial.monomial(other, data.draw(coefficients(3).filter(bool)))
+    rows[a][b] = same + bump
+    assert reduction_step(rows) == (None if has_zero_line(rows) else 1)
+    assert bareiss_det(rows) == cofactor_determinant(rows)
+
+
+def test_bareiss_keeps_the_parity_factor_polynomial():
+    # rows of parity (0, 1, 0) and columns (0, 1, 1): rescaling the odd
+    # entries by q^(sigma_b - rho_a) would leave q^-1 outside det B(q^2),
+    # and in the transpose rescaling them by q^(rho_a - sigma_b) would too
+    one, q, q3 = Polynomial((1,)), Polynomial((0, 1)), Polynomial((0, 0, 0, 1))
+    rows = [[one, q, q], [q, one, one], [one, q, q3]]
+    for matrix in (rows, [list(col) for col in zip(*rows)]):
+        assert reduction_step(matrix) == 2
+        assert bareiss_det(matrix) == Polynomial((0, -1, 0, 2, 0, -1))
+        assert bareiss_det(matrix) == cofactor_determinant(matrix)
+
+
+@pytest.mark.parametrize(
+    "n, degree", [(1, 0), (2, 1), (3, 5), (4, 21), (5, 84), (6, 330)]
+)
+def test_gram_matrices_take_the_q_squared_path(n, degree):
+    # every loop count c(a, b) has the parity of c(a, 0) + c(0, b) + c(0, 0)
+    entries = gram(n).entries
+    rows, _, step = _reduce_powers([[list(e.num.coeffs) for e in row] for row in entries])
+    assert step == 2
+    assert sum(max(len(cs) for cs in row) - 1 for row in rows) == degree
+
+
 def test_bareiss_input_validation():
     with pytest.raises(ValueError):
         bareiss_det([[Polynomial((0, 1))], [Polynomial((1,))]])
@@ -516,6 +589,18 @@ def test_det_product_equals_direct_product(n):
     for s in enumerate_diagrams(n):
         direct = direct * predicted_diagonal(s)
     assert det_product(n) == direct
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_product_matches_the_meander_closed_form(n):
+    # Di Francesco, Golinelli and Guitter (1997): det G_n = prod_j Delta_j^a_{n,j}
+    def c(k):
+        return math.comb(2 * n, k) if k >= 0 else 0
+
+    closed = ONE
+    for j in range(1, n + 1):
+        closed = closed * chebyshev(j) ** (c(n - j) - 2 * c(n - j - 1) + c(n - j - 2))
+    assert det_product(n).num == closed
 
 
 @pytest.mark.parametrize("n", range(1, 5))
