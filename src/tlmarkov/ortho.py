@@ -21,6 +21,15 @@ per distinct (h, lifted, previous) triple of coefficients.  The builder and
 the verifier read one table of l_h and tau_h images per size (:func:`_level`),
 built once per process; each image is found by its :class:`Matching`.
 
+Since G = L D L^T with P = L^-1 unitriangular, every denominator in P and in
+the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
+determinant structure).  So the builder, check (ii) and the half-pairing
+recursion compute over the irreducible factors Psi_d of the Delta_k
+(``qpoly._Factored``): an integer numerator over a positive integer and an
+exponent vector, reduced by exact division by the Psi_d present, with no
+polynomial gcd.  Each distinct value crosses to :class:`RationalFunction`
+once, at the vector and report edges, which stay as they were.
+
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
 vector: the recursion for e'_(t,h), pushed through the adjunction
@@ -70,13 +79,20 @@ from .diagrams import (
 )
 from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents, pair_vectors
 from .qpoly import (
+    _F_ZERO,
+    _FROM_FACTORED,
+    _TO_FACTORED,
     ONE,
-    Q,
     RF_ONE,
     RF_ZERO,
     ZERO,
     Polynomial,
     RationalFunction,
+    _delta_exponents,
+    _Factored,
+    _from_factored,
+    _psi_product,
+    _to_factored,
     chebyshev,
 )
 
@@ -133,25 +149,72 @@ def _build_level(k: int) -> None:
 
     Each l_h(e'_t) is pushed through the lift table of size k, and each
     coefficient of e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1)
-    is computed once per distinct (h, lifted, previous) triple.  Vectors one
-    size down are read through :func:`orthogonal_vector`; the empty diagram's
-    e'_() is e_().  A vector already in the memo is kept, and the vectors
-    built after it in the level are built from it.
+    is computed over the factor base once per distinct (h, lifted, previous)
+    triple.  Vectors one size down are read through :func:`orthogonal_vector`;
+    the empty diagram's e'_() is e_().  A vector already in the memo is kept,
+    and the vectors built after it in the level are built from it; a
+    coefficient of such a vector outside the factor base raises
+    :class:`InternalCheckError`.
     """
     below, level = _level(k - 1), _level(k)
+    _delta_exponents(k)  # the factor base holds every Psi_d of Delta_1..Delta_k
     # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples
-    combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
+    combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
     for t in below.basis:
         tail = orthogonal_vector(t) if t.size else DiagramVector.basis_vector(t)
-        previous: Mapping[RestrictedSequence, RationalFunction] = {}
+        terms = _factored_coeffs(tail, below.index).items()
+        previous: Mapping[int, _Factored] = {}
         for h in _heads(t):
             images = level.lift[h - 1]
-            column = {level.basis[images[below.index[u]]]: c for u, c in tail.coeffs.items()}
-            # previous is empty for h = 1; DiagramVector drops the zeros
+            column = {images[u]: c for u, c in terms}
+            # previous is empty for h = 1
             for key, value in previous.items():
-                column[key] = _combined(combined, h, column.get(key, RF_ZERO), value)
-            vec = DiagramVector(k, column)
-            previous = _VECTOR_CACHE.setdefault(t.entries + (h,), vec).coeffs
+                entry = _combined(combined, h, column.get(key, _F_ZERO), value)
+                if entry.num:
+                    column[key] = entry
+                else:
+                    column.pop(key, None)
+            vec = DiagramVector(k, {level.basis[i]: _from_factored(c) for i, c in column.items()})
+            kept = _VECTOR_CACHE.setdefault(t.entries + (h,), vec)
+            previous = column if kept is vec else _factored_coeffs(kept, level.index)
+
+
+def _factored_coeffs(
+    vec: DiagramVector, index: Mapping[RestrictedSequence, int]
+) -> dict[int, _Factored]:
+    """A stored vector's coefficients over the factor base, keyed by index."""
+    out = {}
+    for key, value in vec.coeffs.items():
+        factored = _to_factored(value)
+        if factored is None:
+            raise InternalCheckError(
+                f"coefficient {value} of e_{key} has a denominator outside the "
+                "Chebyshev factor base"
+            )
+        out[index[key]] = factored
+    return out
+
+
+def _memo_sizes() -> dict[str, int]:
+    """Entries held by each process-wide memo."""
+    return {
+        "vectors": len(_VECTOR_CACHE),
+        "levels": _level.cache_info().currsize,
+        "to_factored": len(_TO_FACTORED),
+        "from_factored": len(_FROM_FACTORED),
+    }
+
+
+def _clear_memos() -> None:
+    """Drop the vectors, the level tables and the factor-base translations.
+
+    The factor base itself stays, so its positions stay stable.
+    """
+    with _VECTOR_LOCK:
+        _VECTOR_CACHE.clear()
+        _level.cache_clear()
+        _TO_FACTORED.clear()
+        _FROM_FACTORED.clear()
 
 
 def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
@@ -339,23 +402,24 @@ def _heads(t: RestrictedSequence) -> range:
 
 
 @functools.cache
-def _ratio(h: int) -> RationalFunction:
-    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h)."""
-    return RationalFunction(chebyshev(h - 2), chebyshev(h - 1))
+def _ratio(h: int) -> _Factored:
+    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h);
+    consecutive Delta are coprime."""
+    return _Factored(chebyshev(h - 2).coeffs, 1, _delta_exponents(h - 1))
 
 
 def _combined(
-    memo: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction],
+    memo: dict[tuple[int, _Factored, _Factored], _Factored],
     h: int,
-    lifted: RationalFunction,
-    previous: RationalFunction,
-) -> RationalFunction:
+    lifted: _Factored,
+    previous: _Factored,
+) -> _Factored:
     """lifted - (Delta_{h-2}/Delta_{h-1}) * previous, computed once per
     distinct (h, lifted, previous) triple in ``memo``."""
     terms = (h, lifted, previous)
     value = memo.get(terms)
     if value is None:
-        value = memo[terms] = lifted - _ratio(h) * previous
+        value = memo[terms] = lifted.minus(_ratio(h).times(previous))
     return value
 
 
@@ -372,13 +436,15 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
                         - (Delta_{h-2}/Delta_{h-1}) H_k[b][(t,h-1)].
 
     No vector and no Gram entry is read; :func:`verify_orthogonality`
-    certifies that the result equals G P^T for the stored vectors.
+    certifies that the result equals G P^T for the stored vectors.  The
+    entries are computed over the factor base and returned as
+    :class:`RationalFunction`.
     """
-    q = RationalFunction.from_polynomial(Q)
+    q = _Factored((0, 1), 1, ())
     # the entries repeat, so each field operation is done once per operands
-    raised: dict[RationalFunction, RationalFunction] = {}
-    combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
-    columns: list[dict[int, RationalFunction]] = [{0: RF_ONE}]
+    raised: dict[_Factored, _Factored] = {}
+    combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
+    columns: list[dict[int, _Factored]] = [{0: _Factored((1,), 1, ())}]
     for k in range(1, n + 1):
         below, level = _level(k - 1).basis, _level(k)
         preimages: list[list[list[tuple[int, int]]]] = [[[] for _ in below] for _ in range(k)]
@@ -386,9 +452,9 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
             for h, (u, loops) in enumerate(row):
                 preimages[h][u].append((b, loops))
         # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
-        upper: list[dict[int, RationalFunction]] = []
+        upper: list[dict[int, _Factored]] = []
         for t_idx, t in enumerate(below):
-            previous: dict[int, RationalFunction] = {}
+            previous: dict[int, _Factored] = {}
             for h in _heads(t):
                 column = {}
                 for u, value in columns[t_idx].items():
@@ -396,21 +462,21 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
                         if loops:
                             shifted = raised.get(value)
                             if shifted is None:
-                                shifted = raised[value] = value * q
+                                shifted = raised[value] = value.times(q)
                             column[b] = shifted
                         else:
                             column[b] = value
                 if h > 1:
                     for b, value in previous.items():
-                        entry = _combined(combined, h, column.get(b, RF_ZERO), value)
-                        if entry.is_zero:
-                            column.pop(b, None)
-                        else:
+                        entry = _combined(combined, h, column.get(b, _F_ZERO), value)
+                        if entry.num:
                             column[b] = entry
+                        else:
+                            column.pop(b, None)
                 upper.append(column)
                 previous = column
         columns = upper
-    return columns
+    return [{b: _from_factored(value) for b, value in column.items()} for column in columns]
 
 
 def _adjunction_mismatches(n: int) -> list[str]:
@@ -441,34 +507,49 @@ def _adjunction_mismatches(n: int) -> list[str]:
 def _recursion_mismatches(n: int) -> list[str]:
     """Link (ii): every stored vector satisfies its defining recursion
     e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), through the
-    lift table of link (i), and e'_(1) = e_(1)."""
+    lift table of link (i), and e'_(1) = e_(1).
+
+    The recursion is evaluated over the factor base.  A stored coefficient
+    outside the base is a mismatch, and so is every coefficient whose
+    recursion reads one.
+    """
     bad = []
+    _delta_exponents(n)  # the factor base holds every Psi_d of Delta_1..Delta_n
     # the coefficients repeat: at n = 7 the 46,312 terms hold 3,888 distinct
     # (h, lifted, previous) triples
-    combined: dict[tuple[int, RationalFunction, RationalFunction], RationalFunction] = {}
+    combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
     first = RestrictedSequence((1,))
     if orthogonal_vector(first) != DiagramVector.basis_vector(first):
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
     for k in range(2, n + 1):
         below, level = _level(k - 1), _level(k)
         for t in below.basis:
-            tail = orthogonal_vector(t).coeffs
-            previous: dict[RestrictedSequence, RationalFunction] = {}
+            tail = {u: _to_factored(c) for u, c in orthogonal_vector(t).coeffs.items()}
+            previous: dict[RestrictedSequence, _Factored | None] = {}
             for h in _heads(t):
                 a = RestrictedSequence(t.entries + (h,))
-                got = orthogonal_vector(a).coeffs
+                stored = orthogonal_vector(a).coeffs
+                got = {key: _to_factored(c) for key, c in stored.items()}
                 lift = level.lift[h - 1]
                 lifted = {level.basis[lift[below.index[u]]]: c for u, c in tail.items()}
                 recursion = f"l_{h}(e'_{t})"
                 if h > 1:
                     recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
                 for key in got.keys() | lifted.keys() | previous.keys():
-                    want = _combined(
-                        combined, h, lifted.get(key, RF_ZERO), previous.get(key, RF_ZERO)
-                    )
-                    value = got.get(key, RF_ZERO)
-                    if value != want:
-                        bad.append(f"e'_{a} has {value} != {want} on e_{key} by {recursion}")
+                    operands = (lifted.get(key, _F_ZERO), previous.get(key, _F_ZERO))
+                    if None in operands:
+                        bad.append(
+                            f"e'_{a} on e_{key}: {recursion} reads a coefficient "
+                            "outside the Chebyshev factor base"
+                        )
+                        continue
+                    want = _combined(combined, h, *operands)
+                    if got.get(key, _F_ZERO) != want:
+                        value = stored.get(key, RF_ZERO)
+                        bad.append(
+                            f"e'_{a} has {value} != {_from_factored(want)} on e_{key} "
+                            f"by {recursion}"
+                        )
                 previous = got
     return bad
 
@@ -829,20 +910,31 @@ def _interpolate(points: Sequence[int], values: list[int]) -> list[Fraction]:
 def det_product(n: int) -> RationalFunction:
     """The Gram determinant in product form: the product of the predicted
     diagonal over the whole basis, reduced; always a polynomial."""
+    return RationalFunction(_psi_product(_det_exponents(n)), ONE)
+
+
+def _det_exponents(n: int) -> list[int]:
+    """The product of the predicted diagonal over the factor base.
+
+    Each Delta_k counts once per entry k of a basis sequence and minus once
+    per entry k + 1; the net counts of Delta_k may be negative (that of
+    Delta_1 = q is -208 at n = 8), but a polynomial has no negative exponent
+    over the irreducible Psi_d.
+    """
     if n < 0:
         raise ValueError("diagram size must be >= 0")
     counts: dict[int, int] = {}
     for s in enumerate_diagrams(n):
         for a in s.entries:
             counts[a] = counts.get(a, 0) + 1
-    result = ONE
-    for k in sorted(counts):
-        net = counts[k] - counts.get(k + 1, 0)
-        if net < 0:
-            raise InternalCheckError("diagonal product is not a polynomial")
-        if net:
-            result = result * chebyshev(k) ** net
-    return RationalFunction(result, ONE)
+    exponents = [0] * len(_delta_exponents(max(counts, default=0)))
+    for k, count in counts.items():
+        net = count - counts.get(k + 1, 0)
+        for i, e in enumerate(_delta_exponents(k)):
+            exponents[i] += net * e
+    if any(e < 0 for e in exponents):
+        raise InternalCheckError("diagonal product is not a polynomial")
+    return exponents
 
 
 def det_oracle_check(n: int) -> CheckResult:

@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -89,6 +89,8 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
+        if len(b) == 1:  # a nonzero constant
+            return [1]
         lead = b[-1]
         r = list(a)
         while r and len(r) >= len(b):
@@ -115,6 +117,37 @@ def _clear_denominators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
     if denom == 1:
         return [int(c) for c in coeffs], 1
     return [int(c * denom) for c in coeffs], denom
+
+
+def _mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+    """Schoolbook product of two ascending coefficient sequences."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c == 0:
+            continue
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _divrem(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    """Long division of ascending coefficient sequences, b without trailing
+    zeros; a monic integer b keeps integer quotient and remainder."""
+    rem = list(a)
+    lead = b[-1]
+    quot = [0] * max(0, len(rem) - len(b) + 1)
+    while rem and len(rem) >= len(b):
+        t = rem[-1] if lead == 1 else Fraction(rem[-1]) / lead
+        shift = len(rem) - len(b)
+        quot[shift] = t
+        for i, c in enumerate(b):
+            rem[shift + i] -= t * c
+        del rem[-1]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
 
 
 @dataclass(frozen=True)
@@ -203,16 +236,7 @@ class Polynomial:
             return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-        return Polynomial(tuple(out))
+        return Polynomial(tuple(_mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -240,20 +264,7 @@ class Polynomial:
         """Quotient and remainder with deg(remainder) < deg(divisor)."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        lead = dcs[-1]
-        qlen = max(0, len(rem) - len(dcs) + 1)
-        quot = [0] * qlen
-        while rem and len(rem) >= len(dcs):
-            t = rem[-1] if lead == 1 else Fraction(rem[-1]) / lead
-            shift = len(rem) - len(dcs)
-            quot[shift] = t
-            for i, c in enumerate(dcs):
-                rem[shift + i] -= t * c
-            del rem[-1]
-            while rem and rem[-1] == 0:
-                rem.pop()
+        quot, rem = _divrem(self.coeffs, divisor.coeffs)
         return Polynomial(tuple(quot)), Polynomial(tuple(rem))
 
     # -- evaluation ----------------------------------------------------------
@@ -381,6 +392,14 @@ class RationalFunction:
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
         return cls(p, ONE)
+
+    @classmethod
+    def _from_normal(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """A quotient the caller knows is in normal form; no gcd is taken."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "num", num)
+        object.__setattr__(value, "den", den)
+        return value
 
     @property
     def is_zero(self) -> bool:
@@ -560,6 +579,195 @@ def chebyshev_root(m: int, bits: int = 256) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# Coefficients over the Chebyshev factor base.
+# ---------------------------------------------------------------------------
+#
+# Delta_k has the roots 2cos(j pi/(k+1)), j = 1..k, so it is the product of
+# the minimal polynomials Psi_d of 2cos(2 pi/d) over d | 2k+2, d >= 3; each
+# Psi_d is monic with integer coefficients and irreducible.  The orthogonal
+# vectors and the half-pairings have every denominator dividing a product of
+# Delta_j (Ko-Smolinsky), so the engine keeps them as _Factored values and
+# reduces by trial division by the Psi_d present, never by a gcd.
+
+_FACTOR_LOCK = threading.Lock()
+_PSI: list[tuple[int, ...]] = []  # Psi_d by position, in the order d is first needed
+_PSI_POSITION: dict[int, int] = {}  # d -> position in _PSI
+_DELTA_EXPONENTS: list[tuple[int, ...]] = [()]  # index k holds Delta_k over _PSI
+
+
+def _delta_exponents(k: int) -> tuple[int, ...]:
+    """Delta_k over the factor base, which grows through Delta_k.
+
+    The base grows with k, so a position once given to Psi_d never changes
+    and exponent vectors stay comparable across sizes in one process.
+    """
+    if k < len(_DELTA_EXPONENTS):
+        return _DELTA_EXPONENTS[k]
+    with _FACTOR_LOCK:
+        # single writer extends the tables; readers only ever see filled slots
+        while len(_DELTA_EXPONENTS) <= k:
+            j = len(_DELTA_EXPONENTS)
+            # the divisors of 2j + 2 that divide no 2i + 2 with i < j
+            for d in (j + 1, 2 * j + 2):
+                if d >= 3 and d not in _PSI_POSITION:
+                    _PSI.append(_psi(d))
+                    _PSI_POSITION[d] = len(_PSI) - 1
+            exponents = [0] * len(_PSI)
+            for d in range(3, 2 * j + 3):
+                if (2 * j + 2) % d == 0:
+                    exponents[_PSI_POSITION[d]] = 1
+            _DELTA_EXPONENTS.append(tuple(exponents))
+    return _DELTA_EXPONENTS[k]
+
+
+def _psi(d: int) -> tuple[int, ...]:
+    """Psi_d, from the Psi_e with e | d, 3 <= e < d, already in the base."""
+    # W has the roots 2cos(2 pi i/d), 0 < i < d/2: it is the product of the
+    # Psi_e over e | d, e >= 3 (sin(d t/2)/sin(t/2) for odd d)
+    if d % 2:
+        w = chebyshev((d - 1) // 2) + chebyshev((d - 3) // 2)
+    else:
+        w = chebyshev(d // 2 - 1)
+    coeffs = w.coeffs
+    for e in range(3, d):
+        if d % e == 0:
+            coeffs, rem = _divrem(coeffs, _PSI[_PSI_POSITION[e]])
+            if rem:
+                raise ArithmeticError(f"Psi_{e} does not divide W_{d}")
+    return tuple(coeffs)
+
+
+class _Factored(NamedTuple):
+    """The value num / (den * prod_i Psi_i^exps[i]) over the factor base.
+
+    Normal form: the integer scalar den > 0 is coprime to the content of the
+    integer polynomial num, no Psi_i with exps[i] > 0 divides num, exps has
+    no trailing zeros, and zero is ((), 1, ()).  Equal values are equal
+    tuples.
+    """
+
+    num: tuple[int, ...]
+    den: int
+    exps: tuple[int, ...]
+
+    def times(self, other: "_Factored") -> "_Factored":
+        if not self.num or not other.num:
+            return _F_ZERO
+        a, b = _padded(self.exps, other.exps)
+        exps = [x + y for x, y in zip(a, b)]
+        return _normal(_mul(self.num, other.num), self.den * other.den, exps)
+
+    def minus(self, other: "_Factored") -> "_Factored":
+        if not other.num:
+            return self
+        if not self.num:
+            return _Factored(tuple(-c for c in other.num), other.den, other.exps)
+        a, b = _padded(self.exps, other.exps)
+        exps = [max(x, y) for x, y in zip(a, b)]
+        den = math.lcm(self.den, other.den)
+        left = self._over(exps, den)
+        right = other._over(exps, den)
+        if len(left) < len(right):
+            left += [0] * (len(right) - len(left))
+        for i, c in enumerate(right):
+            left[i] -= c
+        return _normal(left, den, exps)
+
+    def _over(self, exps: list[int], den: int) -> list[int]:
+        """The numerator of this value over den * prod_i Psi_i^exps[i]."""
+        scale = den // self.den
+        num = list(self.num) if scale == 1 else [c * scale for c in self.num]
+        for i, e in enumerate(exps):
+            for _ in range(e - (self.exps[i] if i < len(self.exps) else 0)):
+                num = _mul(num, _PSI[i])
+        return num
+
+
+_F_ZERO = _Factored((), 1, ())
+
+
+def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Two exponent vectors brought to one length."""
+    return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
+
+
+def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
+    """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i present
+    is divided out exactly while it divides num, then the scalar content."""
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return _F_ZERO
+    for i, e in enumerate(exps):
+        while e:
+            quot, rem = _divrem(num, _PSI[i])
+            if rem:
+                break
+            num, e = quot, e - 1
+        exps[i] = e
+    while exps and not exps[-1]:
+        exps.pop()
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    return _Factored(tuple(num), den, tuple(exps))
+
+
+def _psi_product(exps: Sequence[int]) -> Polynomial:
+    """prod_i Psi_i^exps[i]."""
+    result = ONE
+    for psi, e in zip(_PSI, exps):
+        if e:
+            result = result * Polynomial(psi) ** e
+    return result
+
+
+# each direction translates a value once; the reverse entry is filled too,
+# so every distinct value has one RationalFunction object
+_TO_FACTORED: dict[RationalFunction, _Factored] = {}
+_FROM_FACTORED: dict[_Factored, RationalFunction] = {}
+
+
+def _to_factored(value: RationalFunction) -> _Factored | None:
+    """value over the factor base as grown so far; None when its
+    denominator does not factor over it."""
+    factored = _TO_FACTORED.get(value)
+    if factored is None:
+        rest = list(value.den.coeffs)
+        if any(type(c) is not int for c in rest):
+            return None
+        exps = []
+        for psi in list(_PSI):
+            e = 0
+            while len(rest) > 1:
+                quot, rem = _divrem(rest, psi)
+                if rem:
+                    break
+                rest, e = quot, e + 1
+            exps.append(e)
+        if rest != [1]:
+            return None
+        while exps and not exps[-1]:
+            exps.pop()
+        num, den = _clear_denominators(value.num.coeffs)
+        factored = _TO_FACTORED.setdefault(value, _Factored(tuple(num), den, tuple(exps)))
+        _FROM_FACTORED.setdefault(factored, value)
+    return factored
+
+
+def _from_factored(value: _Factored) -> RationalFunction:
+    """The RationalFunction of a value in normal form."""
+    rf = _FROM_FACTORED.get(value)
+    if rf is None:
+        num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
+        rf = RationalFunction._from_normal(Polynomial(tuple(num)), _psi_product(value.exps))
+        rf = _FROM_FACTORED.setdefault(value, rf)
+        _TO_FACTORED.setdefault(rf, value)
+    return rf
 
 
 def eval_at(x, q0, *, pole_tolerance: float = 1e-12):

@@ -1,13 +1,15 @@
-"""Shared hypothesis strategies for the property suite, and the term-by-term
-reference for the orthogonal vectors."""
+"""Shared hypothesis strategies for the property suite, the term-by-term
+reference for the orthogonal vectors, and the invariants of factor-base
+coefficients."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from tlmarkov.diagrams import RestrictedSequence
 from tlmarkov.markov import DiagramVector
-from tlmarkov.qpoly import Polynomial, RationalFunction, chebyshev
+from tlmarkov.qpoly import _PSI, Polynomial, RationalFunction, _psi_product, chebyshev, poly_divrem
 
 
 def coefficients(bound: int = 8):
@@ -74,3 +76,24 @@ def assert_one_dict_per_value(entries, dicts):
     for e, d in zip(entries, dicts):
         assert d == e.to_json()
         assert first.setdefault(e, d) is d
+
+
+def factored_value(f):
+    """The value of a factor-base coefficient, through the gcd-reducing
+    RationalFunction constructor."""
+    num = Polynomial(tuple(Fraction(c, f.den) for c in f.num))
+    return RationalFunction(num, _psi_product(f.exps))
+
+
+def assert_normal_form(f):
+    """The invariants that make equal factor-base values equal tuples."""
+    assert all(type(c) is int for c in f.num) and (not f.num or f.num[-1] != 0)
+    assert type(f.den) is int and f.den > 0
+    assert math.gcd(f.den, *f.num) == 1
+    assert not f.exps or f.exps[-1] > 0
+    assert all(e >= 0 for e in f.exps) and len(f.exps) <= len(_PSI)
+    if not f.num:
+        assert (f.den, f.exps) == (1, ())
+    for psi, e in zip(_PSI, f.exps):
+        if e:
+            assert not poly_divrem(Polynomial(f.num), Polynomial(psi))[1].is_zero

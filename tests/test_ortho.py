@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_one_dict_per_value, coefficients, rational_functions, term_recursion
+from conftest import (
+    assert_normal_form,
+    assert_one_dict_per_value,
+    coefficients,
+    factored_value,
+    rational_functions,
+    term_recursion,
+)
 from tlmarkov.diagrams import (
     RestrictedSequence,
     contract,
@@ -20,6 +27,7 @@ from tlmarkov.diagrams import (
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
     TRIVALENT_FIXTURES,
+    _det_exponents,
     _downset_size,
     _half_pairings,
     _level,
@@ -39,6 +47,7 @@ from tlmarkov.qpoly import (
     RF_ZERO,
     Polynomial,
     RationalFunction,
+    _delta_exponents,
     chebyshev,
     chebyshev_root,
     eval_at,
@@ -364,6 +373,106 @@ def test_verify_reports_a_missing_recursion_term():
     assert checks["half-pairing"].details.startswith("e'_2,1 has 0 != -1/q on e_1,1 by ")
 
 
+def test_verify_reports_a_coefficient_outside_the_factor_base():
+    """A stored coefficient 1/(q^2 + 1), whose denominator is no product of
+    Delta_j, fails check (ii) for its own vector and for the vectors whose
+    recursion reads it; the report says so, and nothing raises."""
+    from tlmarkov import ortho as ortho_module
+
+    s = seq("2,1")
+    change_of_basis(3)  # every vector to size 3 is stored, so none is rebuilt
+    memo = ortho_module._VECTOR_CACHE
+    saved = memo[s.entries]
+    memo[s.entries] = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((1,), (1, 0, 1))})
+    try:
+        report = verify_orthogonality(3)
+    finally:
+        memo[s.entries] = saved
+    check = next(c for c in report.checks if c.name == "half-pairing")
+    assert not check.passed
+    assert check.details.startswith("e'_2,1 has 1/(q^2 + 1) != -1/q on e_1,1 by l_2(e'_1) - ")
+    assert "l_1(e'_2,1) reads a coefficient outside the Chebyshev factor base" in check.details
+    assert verify_orthogonality(3).passed
+
+
+def test_builder_raises_on_a_stored_coefficient_outside_the_factor_base():
+    """The builder reads a stored e'_1,1 with a coefficient 1/(q^2 + 1) as the
+    previous vector of e'_2,1 and stops."""
+    from tlmarkov.ortho import InternalCheckError
+
+    wrong = DiagramVector.from_terms(2, [(seq("1,1"), rf((1,), (1, 0, 1)))])
+    with _with_corrupted_vector(seq("1,1"), wrong):
+        with pytest.raises(InternalCheckError, match="outside the Chebyshev factor base"):
+            orthogonal_vector(seq("2,1"))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch):
+    """Cross-check at the conversion edge: every distinct (h, lifted, previous)
+    triple that the builder, check (ii) and the half-pairing recursion combine,
+    and every product they form, has over the factor base the value that
+    RationalFunction arithmetic gives, in normal form."""
+    import sys
+
+    from tlmarkov import ortho as ortho_module
+    from tlmarkov.qpoly import _Factored, _from_factored
+
+    true_combined, true_times = ortho_module._combined, _Factored.times
+    triples: dict[str, set] = {}
+    products = set()
+
+    def combined(memo, h, lifted, previous):
+        caller = sys._getframe(1).f_code.co_name
+        triples.setdefault(caller, set()).add((h, lifted, previous))
+        return true_combined(memo, h, lifted, previous)
+
+    def times(a, b):
+        products.add((a, b))
+        return true_times(a, b)
+
+    monkeypatch.setattr(ortho_module, "_combined", combined)
+    monkeypatch.setattr(_Factored, "times", times)
+    saved = dict(ortho_module._VECTOR_CACHE)
+    ortho_module._VECTOR_CACHE.clear()
+    try:
+        assert verify_orthogonality(n).passed
+    finally:
+        ortho_module._VECTOR_CACHE.clear()
+        ortho_module._VECTOR_CACHE.update(saved)
+        monkeypatch.undo()
+    assert set(triples) == {"_build_level", "_recursion_mismatches", "_half_pairings"}
+    for caller, found in triples.items():
+        for h, lifted, previous in found:
+            ratio = RationalFunction(chebyshev(h - 2), chebyshev(h - 1))
+            want = factored_value(lifted) - ratio * factored_value(previous)
+            got = true_combined({}, h, lifted, previous)
+            assert_normal_form(got)
+            assert factored_value(got) == want, caller
+            assert _from_factored(got) == want, caller
+    q = _Factored((0, 1), 1, ())
+    assert any(b == q for _, b in products)  # the half-pairings' q^c
+    for a, b in products:
+        got = true_times(a, b)
+        assert_normal_form(got)
+        assert factored_value(got) == factored_value(a) * factored_value(b)
+
+
+def test_memos_clear_and_rebuild_the_same_vectors():
+    from tlmarkov.ortho import _clear_memos, _memo_sizes
+
+    before = {s: orthogonal_vector(s) for s in enumerate_diagrams(4)}
+    assert verify_orthogonality(4).passed
+    sizes = _memo_sizes()
+    assert set(sizes) == {"vectors", "levels", "to_factored", "from_factored"}
+    assert all(sizes.values())
+    _clear_memos()
+    assert _memo_sizes() == dict.fromkeys(sizes, 0)
+    after = {s: orthogonal_vector(s) for s in enumerate_diagrams(4)}
+    assert after == before
+    assert all(after[s] is not before[s] for s in after)
+    assert verify_orthogonality(4).passed
+
+
 @pytest.mark.parametrize("k", range(7))
 def test_level_tables_match_the_sequence_route(k):
     """Reference oracle: every l_h and tau_h image in the tables of size k is
@@ -591,16 +700,27 @@ def test_det_product_equals_direct_product(n):
     assert det_product(n) == direct
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_det_product_matches_the_meander_closed_form(n):
-    # Di Francesco, Golinelli and Guitter (1997): det G_n = prod_j Delta_j^a_{n,j}
+    # Di Francesco, Golinelli and Guitter (1997): det G_n = prod_j Delta_j^a_{n,j};
+    # from n = 8 the exponent a_{n,1} of Delta_1 = q is negative, so the
+    # exponents are compared over the Psi_d, and the expanded determinant
+    # where it is small
     def c(k):
         return math.comb(2 * n, k) if k >= 0 else 0
 
-    closed = ONE
-    for j in range(1, n + 1):
-        closed = closed * chebyshev(j) ** (c(n - j) - 2 * c(n - j - 1) + c(n - j - 2))
-    assert det_product(n).num == closed
+    exponents = [c(n - j) - 2 * c(n - j - 1) + c(n - j - 2) for j in range(1, n + 1)]
+    assert (exponents[0] < 0) == (n >= 8)
+    closed = [0] * len(_delta_exponents(n))
+    for j, a in enumerate(exponents, start=1):
+        for i, e in enumerate(_delta_exponents(j)):
+            closed[i] += a * e
+    assert _det_exponents(n) == closed
+    if n <= 6:
+        expanded = ONE
+        for j, a in enumerate(exponents, start=1):
+            expanded = expanded * chebyshev(j) ** a
+        assert det_product(n).num == expanded
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_normal_form,
+    factored_value,
     nonzero_polynomials,
     nonzero_rational_functions,
     polynomials,
     rational_functions,
 )
+from tlmarkov import qpoly
 from tlmarkov.qpoly import (
+    _F_ZERO,
+    _PSI,
+    _PSI_POSITION,
     ONE,
     Q,
     RF_ONE,
@@ -22,6 +28,10 @@ from tlmarkov.qpoly import (
     PoleError,
     Polynomial,
     RationalFunction,
+    _delta_exponents,
+    _from_factored,
+    _psi_product,
+    _to_factored,
     chebyshev,
     chebyshev_root,
     eval_at,
@@ -354,3 +364,87 @@ def test_json_uses_decimal_free_strings():
     obj = rf((Fraction(-1, 2), 1), (0, 1)).to_json()
     assert obj["num"]["coeffs"] == ["-1/2", "1"]
     assert obj["den"]["coeffs"] == ["0", "1"]
+
+
+# ---------------------------------------------------------------------------
+# Coefficients over the Chebyshev factor base
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(0, 21))
+def test_delta_is_the_product_of_its_psi_factors(k):
+    exponents = _delta_exponents(k)
+    assert _psi_product(exponents) == chebyshev(k)
+    divisors = {d for d in range(3, 2 * k + 3) if (2 * k + 2) % d == 0}
+    assert {d for d, i in _PSI_POSITION.items() if i < len(exponents) and exponents[i]} == divisors
+    assert set(exponents) <= {0, 1}
+
+
+def test_psi_is_the_minimal_polynomial_of_2cos():
+    _delta_exponents(20)
+    for d, i in _PSI_POSITION.items():
+        psi = Polynomial(_PSI[i])
+        totient = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+        assert psi.is_monic and psi.degree == totient // 2, d
+        for j in range(1, d // 2 + 1):
+            value = psi.evaluate(2 * math.cos(2 * math.pi * j / d))
+            assert (abs(value) < 1e-6) == (math.gcd(j, d) == 1), (d, j)
+
+
+def base_values(max_degree=4):
+    """Rational functions whose denominators are products of Psi_d, d <= 18."""
+    _delta_exponents(8)
+    exponents = st.lists(st.integers(0, 2), max_size=len(_PSI))
+    scalars = st.integers(1, 6)
+    return st.tuples(polynomials(max_degree, 6), exponents, scalars).map(
+        lambda t: RationalFunction(t[0], _psi_product(t[1]).scaled(t[2]))
+    )
+
+
+def fresh_to_factored(value):
+    """_to_factored with the memo entry of value dropped first."""
+    qpoly._TO_FACTORED.pop(value, None)
+    return _to_factored(value)
+
+
+def fresh_from_factored(value):
+    """_from_factored with the memo entry of value dropped first."""
+    qpoly._FROM_FACTORED.pop(value, None)
+    return _from_factored(value)
+
+
+@given(base_values())
+@settings(max_examples=150)
+def test_factored_round_trip(x):
+    f = fresh_to_factored(x)
+    assert f is not None
+    assert_normal_form(f)
+    assert factored_value(f) == x
+    assert fresh_from_factored(f) == x
+
+
+@given(base_values(), base_values(), base_values())
+@settings(max_examples=100)
+def test_equal_factored_values_are_equal_tuples(x, y, z):
+    a, b, c = (fresh_to_factored(v) for v in (x, y, z))
+    for got, want in (
+        (a.times(b), x * y),
+        (a.minus(b), x - y),
+        (a.times(c).minus(b.times(c)), (x - y) * z),
+        (a.minus(b).times(c), (x - y) * z),
+        (a.minus(b).minus(a.minus(b)), RF_ZERO),
+        (b.times(a), x * y),
+    ):
+        assert_normal_form(got)
+        assert factored_value(got) == want
+        assert got == fresh_to_factored(want)
+    assert a.times(c).minus(b.times(c)) == a.minus(b).times(c)
+    assert a.minus(a) == _F_ZERO
+
+
+def test_denominators_outside_the_base_do_not_translate():
+    _delta_exponents(8)
+    assert _to_factored(rf((1,), (1, 0, 1))) is None  # q^2 + 1
+    assert _to_factored(rf((1,), (Fraction(1, 2), 1))) is None  # q + 1/2
+    assert _to_factored(rf((1,), (-1, 0, 0, 1))) is None  # (q - 1)(q^2 + q + 1)
+    assert _to_factored(rf((1,), (-1, 1, 1))) is not None  # Psi_5
