@@ -22,6 +22,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -108,15 +109,52 @@ def pair_diagrams(a: Matching, b: Matching) -> PairingValue:
 
 def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
     """Pairing exponents over enumerate_diagrams(n); the fast integer form of
-    the Gram matrix used by verification and the determinant oracle."""
+    the Gram matrix used by verification and the determinant oracle.
+
+    Conjugating both matchings of a glued pair by one permutation of the 2n
+    points keeps the circle count, and a rotation or a reflection of the
+    points (closed into a circle) maps diagrams to diagrams.  So
+    G[g a][g b] = G[a][b] for every g of the dihedral group of order 4n
+    (:func:`_symmetries`): one row per orbit is walked with :func:`_circles`,
+    and every other row of the orbit is gathered from it.  For the pairs it
+    does not walk, the table rests on that rotation and reflection lemma;
+    the tests compare it with the full walk on every pair for n <= 7.
+    """
     partners = [_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)]
-    size = len(partners)
-    rows = [[0] * size for _ in range(size)]
-    for i, a in enumerate(partners):
-        row = rows[i]
-        for j in range(i, size):
-            row[j] = rows[j][i] = _circles(a, partners[j])
-    return tuple(tuple(row) for row in rows)
+    rows: list[tuple[int, ...] | None] = [None] * len(partners)
+    symmetries = _symmetries(partners)
+    # row g a at j is row a at g^-1 j: a gather through the inverse permutation
+    gathers = [
+        (perm, itemgetter(*sorted(range(len(perm)), key=perm.__getitem__)))
+        for perm in symmetries
+    ]
+    for a, walked in enumerate(partners):
+        if rows[a] is None:
+            row = rows[a] = tuple([_circles(walked, b) for b in partners])
+            for perm, gather in gathers:
+                if rows[perm[a]] is None:
+                    rows[perm[a]] = gather(row)
+    return tuple(rows)
+
+
+def _symmetries(partners: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The dihedral group of the 2n points, closed into a circle, as
+    permutations of the diagrams: entry i of each is the index of the image
+    of partners[i].  Only the identity for fewer than two diagrams."""
+    identity = tuple(range(len(partners)))
+    if len(partners) < 2:
+        return [identity]
+    index = {p: i for i, p in enumerate(partners)}
+    points = len(partners[0])
+    # the image of a matching p under a point map g has partner g(p(g^-1 x)) at x
+    step = tuple(range(1, points)) + (0,)  # x -> x + 1 (mod 2n)
+    mirror = tuple(range(points - 1, -1, -1))  # x -> 2n - 1 - x
+    rotate = tuple(index[itemgetter(*(p[-1:] + p[:-1]))(step)] for p in partners)
+    reflect = tuple(index[itemgetter(*p[::-1])(mirror)] for p in partners)
+    rotations = [identity]
+    for _ in range(points - 1):
+        rotations.append(itemgetter(*rotations[-1])(rotate))
+    return rotations + [itemgetter(*perm)(reflect) for perm in rotations]
 
 
 def _json_rows(rows: Iterable[Iterable[RationalFunction]]) -> list[list[dict]]:

@@ -50,6 +50,17 @@ through the lex-smaller argument makes each term a coefficient times a
 verified-zero half-pairing, so the off-diagonal entries are exactly zero and
 the diagonal reduces to 1 * H[a][a].
 
+Each check costs about one pass over the stored terms or the table rows.
+Link (i) compares whole exponent rows, gathered through the lift table.
+Check (ii) evaluates each recursion keyed by diagram index and compares it
+with the stored vector as a whole.  The downset test packs each sequence
+into one integer with a guard bit above each entry, so a <= b is one
+subtraction.  The orthogonality check searches only the terms outside
+their downsets and the half-pairings below the triangle: with both checks
+passing, no pair shares a term, and any pair that does is found from those
+and gets its literal entry.  The predicted diagonal is one exponent vector
+over the Psi_d, turned into a reduced quotient with no gcd.
+
 :func:`bareiss_det` provides the independent fraction-free determinant
 oracle, and :func:`det_product` the predicted product form; their exact
 agreement cross-checks the diagonalization against the Gram determinant.
@@ -62,11 +73,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .diagrams import (
     Matching,
@@ -74,7 +86,6 @@ from .diagrams import (
     contract,
     enumerate_diagrams,
     insert_arc,
-    leq,
     seq_to_matching,
 )
 from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents, pair_vectors
@@ -91,6 +102,7 @@ from .qpoly import (
     _delta_exponents,
     _Factored,
     _from_factored,
+    _horner,
     _psi_product,
     _to_factored,
     chebyshev,
@@ -218,21 +230,31 @@ def _clear_memos() -> None:
 
 
 def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
-    """The predicted self-pairing: the product of Delta_{a_i}/Delta_{a_i-1}."""
-    exponents: dict[int, int] = {}
-    for a in s.entries:
-        exponents[a] = exponents.get(a, 0) + 1
-        exponents[a - 1] = exponents.get(a - 1, 0) - 1
-    num, den = ONE, ONE
-    for k, e in sorted(exponents.items()):
-        if k < 1 or e == 0:
-            continue
-        factor = chebyshev(k) ** abs(e)
-        if e > 0:
-            num = num * factor
-        else:
-            den = den * factor
-    return RationalFunction(num, den)
+    """The predicted self-pairing: the product of Delta_{a_i}/Delta_{a_i-1}.
+
+    It is built from its net exponents over the factor base: the Psi_d are
+    distinct monic irreducibles, so the product of the positive powers over
+    the product of the negative ones is already reduced, with no gcd.
+    """
+    exponents = _quotient_exponents(s.entries)
+    num = _psi_product([max(e, 0) for e in exponents])
+    den = _psi_product([max(-e, 0) for e in exponents])
+    return RationalFunction._from_normal(num, den)
+
+
+def _quotient_exponents(entries: Iterable[int]) -> list[int]:
+    """The product of Delta_a/Delta_{a-1} over entries a, as net exponents over
+    the factor base: each Delta_k counts once per entry k and minus once per
+    entry k + 1."""
+    counts: dict[int, int] = {}
+    for a in entries:
+        counts[a] = counts.get(a, 0) + 1
+    exponents = [0] * len(_delta_exponents(max(counts, default=0)))
+    for k, count in counts.items():
+        net = count - counts.get(k + 1, 0)
+        for i, e in enumerate(_delta_exponents(k)):
+            exponents[i] += net * e
+    return exponents
 
 
 @dataclass(frozen=True)
@@ -265,15 +287,16 @@ def change_of_basis(n: int) -> OrthoBasis:
     if n < 1:
         raise ValueError("change of basis needs n >= 1")
     basis = enumerate_diagrams(n)
+    packed, guards = _packed(basis)
     rows = []
     for s in basis:
         vec = orthogonal_vector(s)
         row = tuple(vec.coeffs.get(t, RF_ZERO) for t in basis)
         if vec.coeffs.get(s, RF_ZERO) != RF_ONE:
             raise InternalCheckError(f"coefficient of {s} in e'_{s} is not 1")
-        for t in vec.coeffs:
-            if not leq(t, s):
-                raise InternalCheckError(f"e'_{s} has support outside its downset: {t}")
+        outside = _outside_downset(s, vec.coeffs, packed, guards)
+        if outside:
+            raise InternalCheckError(f"e'_{s} has support outside its downset: {outside[0]}")
         rows.append(row)
     P = SquareMatrix(basis, tuple(rows))
     diagonal = tuple(predicted_diagonal(s) for s in basis)
@@ -396,6 +419,43 @@ def _downset_size(b: RestrictedSequence) -> int:
     return sum(counts.values())
 
 
+def _packed(basis: Sequence[RestrictedSequence]) -> tuple[dict[tuple[int, ...], int], int]:
+    """Each sequence of basis packed into one int, keyed by its entries, and
+    the mask of the guard bits.
+
+    Entry i fills the low w bits of field i, with 2^w above every entry, and
+    bit w of the field is its guard bit.  Then (P_b | guards) - P_a keeps
+    every guard bit exactly when a <= b coordinate-wise: field i borrows its
+    guard bit when a_i > b_i, and the borrow stops there.
+    """
+    n = len(basis[0].entries)
+    width = n.bit_length()
+    stride = width + 1
+    guards = sum(1 << (stride * i + width) for i in range(n))
+    packed = {
+        s.entries: sum(a << (stride * i) for i, a in enumerate(s.entries)) for s in basis
+    }
+    return packed, guards
+
+
+_ENTRIES = operator.attrgetter("entries")
+
+
+def _outside_downset(
+    b: RestrictedSequence,
+    terms: Iterable[RestrictedSequence],
+    packed: Mapping[tuple[int, ...], int],
+    guards: int,
+) -> list[RestrictedSequence]:
+    """The terms t with t <= b false, in order, by one guard-bit subtraction
+    per term (:func:`_packed`); terms is read twice when one is found."""
+    top = packed[b.entries] | guards
+    gaps = map(top.__sub__, map(packed.__getitem__, map(_ENTRIES, terms)))
+    if functools.reduce(operator.and_, gaps, guards) == guards:
+        return []
+    return [t for t in terms if (top - packed[t.entries]) & guards != guards]
+
+
 def _heads(t: RestrictedSequence) -> range:
     """The heads h with (t, h) a restricted sequence."""
     return range(1, t.entries[-1] + 2 if t.entries else 2)
@@ -481,17 +541,24 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
 
 def _adjunction_mismatches(n: int) -> list[str]:
     """Link (i): <e_b, l_h e_u> = q^c <tau_h e_b, e_u> on the pairing
-    exponents, for every b of size k <= n, head h and u of size k - 1."""
+    exponents, for every b of size k <= n, head h and u of size k - 1.
+
+    Each (b, h) compares whole rows: row b of size k gathered through the
+    lift table of h, against row tau_h b one size down plus the loops c.
+    """
     bad = []
     lower = gram_exponents(0)
     for k in range(1, n + 1):
         below, level = _level(k - 1).basis, _level(k)
         upper = gram_exponents(k)
+        # tau_h closes at most one loop
+        raised = (lower, [tuple(map((1).__add__, row)) for row in lower])
+        gathers = [_gather(lift) for lift in level.lift]
         for b_idx, row in enumerate(level.contract):
             exponents = upper[b_idx]
             for h, (u_idx, loops) in enumerate(row, start=1):
-                got = [exponents[j] for j in level.lift[h - 1]]
-                want = [loops + c for c in lower[u_idx]]
+                got = gathers[h - 1](exponents)
+                want = raised[loops][u_idx]
                 if got != want:
                     b = level.basis[b_idx]
                     for u, x, y in zip(below, got, want):
@@ -504,52 +571,92 @@ def _adjunction_mismatches(n: int) -> list[str]:
     return bad
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The tuple of a sequence's items at indices, gathered at C level."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return operator.itemgetter(*indices)
+
+
 def _recursion_mismatches(n: int) -> list[str]:
     """Link (ii): every stored vector satisfies its defining recursion
     e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), through the
     lift table of link (i), and e'_(1) = e_(1).
 
-    The recursion is evaluated over the factor base.  A stored coefficient
-    outside the base is a mismatch, and so is every coefficient whose
-    recursion reads one.
+    The recursion is evaluated over the factor base, keyed by diagram index,
+    and compared with the stored vector as a whole; only a vector that
+    differs is compared term by term, in basis order, for the report.  A
+    stored coefficient outside the base is a mismatch, and so is every
+    coefficient whose recursion reads one.
     """
     bad = []
     _delta_exponents(n)  # the factor base holds every Psi_d of Delta_1..Delta_n
     # the coefficients repeat: at n = 7 the 46,312 terms hold 3,888 distinct
     # (h, lifted, previous) triples
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
+    # a stored coefficient is one of few objects and hashing one is slow, so
+    # each object is translated once, looked up by id; holding the object
+    # keeps its id from being reused
+    translated: dict[int, tuple[RationalFunction, _Factored | None]] = {}
+
+    def factored(vec: DiagramVector, position: Mapping[tuple[int, ...], int]) -> dict:
+        out = {}
+        for key, c in vec.coeffs.items():
+            seen = translated.get(id(c))
+            if seen is None:
+                seen = translated[id(c)] = (c, _to_factored(c))
+            out[position[key.entries]] = seen[1]
+        return out
+
     first = RestrictedSequence((1,))
     if orthogonal_vector(first) != DiagramVector.basis_vector(first):
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
     for k in range(2, n + 1):
         below, level = _level(k - 1), _level(k)
+        below_position = {s.entries: i for i, s in enumerate(below.basis)}
+        position = {s.entries: i for i, s in enumerate(level.basis)}
+        # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
+        a_idx = 0
         for t in below.basis:
-            tail = {u: _to_factored(c) for u, c in orthogonal_vector(t).coeffs.items()}
-            previous: dict[RestrictedSequence, _Factored | None] = {}
+            tail = factored(orthogonal_vector(t), below_position)
+            tail_outside = None in tail.values()
+            previous: dict[int, _Factored | None] = {}
             for h in _heads(t):
-                a = RestrictedSequence(t.entries + (h,))
-                stored = orthogonal_vector(a).coeffs
-                got = {key: _to_factored(c) for key, c in stored.items()}
+                a = level.basis[a_idx]
+                a_idx += 1
+                vec = orthogonal_vector(a)
+                got = factored(vec, position)
                 lift = level.lift[h - 1]
-                lifted = {level.basis[lift[below.index[u]]]: c for u, c in tail.items()}
-                recursion = f"l_{h}(e'_{t})"
-                if h > 1:
-                    recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
-                for key in got.keys() | lifted.keys() | previous.keys():
-                    operands = (lifted.get(key, _F_ZERO), previous.get(key, _F_ZERO))
-                    if None in operands:
-                        bad.append(
-                            f"e'_{a} on e_{key}: {recursion} reads a coefficient "
-                            "outside the Chebyshev factor base"
-                        )
-                        continue
-                    want = _combined(combined, h, *operands)
-                    if got.get(key, _F_ZERO) != want:
-                        value = stored.get(key, RF_ZERO)
-                        bad.append(
-                            f"e'_{a} has {value} != {_from_factored(want)} on e_{key} "
-                            f"by {recursion}"
-                        )
+                lifted = {lift[u]: c for u, c in tail.items()}
+                outside = tail_outside or None in previous.values()
+                if not outside:
+                    want = dict(lifted)
+                    for key, value in previous.items():
+                        entry = _combined(combined, h, want.get(key, _F_ZERO), value)
+                        if entry.num:
+                            want[key] = entry
+                        else:
+                            want.pop(key, None)
+                if outside or want != got:
+                    recursion = f"l_{h}(e'_{t})"
+                    if h > 1:
+                        recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
+                    for i in sorted(got.keys() | lifted.keys() | previous.keys()):
+                        key = level.basis[i]
+                        operands = (lifted.get(i, _F_ZERO), previous.get(i, _F_ZERO))
+                        if None in operands:
+                            bad.append(
+                                f"e'_{a} on e_{key}: {recursion} reads a coefficient "
+                                "outside the Chebyshev factor base"
+                            )
+                            continue
+                        value = _combined(combined, h, *operands)
+                        if got.get(i, _F_ZERO) != value:
+                            bad.append(
+                                f"e'_{a} has {vec.coeffs.get(key, RF_ZERO)} != "
+                                f"{_from_factored(value)} on e_{key} by {recursion}"
+                            )
                 previous = got
     return bad
 
@@ -580,18 +687,18 @@ def verify_orthogonality(n: int) -> VerificationReport:
         )
     )
 
-    # support inside the downset
+    # support inside the downset, one guard-bit subtraction per term
     start = time.perf_counter()
-    bad_support = [
-        f"e'_{basis[i]} contains {t}"
+    packed, guards = _packed(basis)
+    outside = [
+        (i, t)
         for i, vec in enumerate(rows)
-        for t in vec.coeffs
-        if not leq(t, basis[i])
+        for t in _outside_downset(basis[i], vec.coeffs, packed, guards)
     ]
     support_total = sum(len(vec.coeffs) for vec in rows)
     downset_total = sum(_downset_size(b) for b in basis)
-    if bad_support:
-        details = "; ".join(bad_support[:5])
+    if outside:
+        details = "; ".join(f"e'_{basis[i]} contains {t}" for i, t in outside[:5])
     elif support_total == downset_total:
         # observed strict converse: every downset element carries a nonzero
         # coefficient (reported, not required)
@@ -607,7 +714,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
     report.checks.append(
         CheckResult(
             "downset-support",
-            not bad_support,
+            not outside,
             time.perf_counter() - start,
             details,
         )
@@ -620,21 +727,24 @@ def verify_orthogonality(n: int) -> VerificationReport:
     start = time.perf_counter()
     link_bad = _adjunction_mismatches(n) + _recursion_mismatches(n)
     half = _half_pairings(n)
-    # head-major lexicographic key: a_n most significant; it refines the
-    # coordinate-wise order
-    head_keys = [s.head_first for s in basis]
-    triangle_bad: list[str] = []
+    # rank in the head-major lexicographic order (a_n most significant); it
+    # refines the coordinate-wise order
+    rank = [0] * size
+    for r, i in enumerate(sorted(range(size), key=lambda i: basis[i].head_first)):
+        rank[i] = r
+    predicted = [predicted_diagonal(s) for s in basis]
+    triangle: list[tuple[int, int]] = []  # (b, a) with H[b][a] != 0, b before a
     diagonal_bad: list[str] = []
     for a_idx, column in enumerate(half):
-        for b_idx, value in column.items():
-            if head_keys[b_idx] < head_keys[a_idx]:
-                triangle_bad.append(
-                    f"<e_{basis[b_idx]}, e'_{basis[a_idx]}> = {value} (expected 0)"
-                )
+        a_rank = rank[a_idx]
+        triangle += [(b_idx, a_idx) for b_idx in column if rank[b_idx] < a_rank]
         got = column.get(a_idx, RF_ZERO)
-        want = predicted_diagonal(basis[a_idx])
+        want = predicted[a_idx]
         if got != want:
             diagonal_bad.append(f"<e_{basis[a_idx]}, e'_{basis[a_idx]}> = {got} != {want}")
+    triangle_bad = [
+        f"<e_{basis[b]}, e'_{basis[a]}> = {half[a][b]} (expected 0)" for b, a in triangle
+    ]
     bad = link_bad + triangle_bad + diagonal_bad
     report.checks.append(
         CheckResult(
@@ -652,30 +762,43 @@ def verify_orthogonality(n: int) -> VerificationReport:
     # finite sum of coefficient * half-pairing terms; expanding through the
     # lex-smaller argument, every term was verified zero above
     start = time.perf_counter()
-    supports = [{index[t] for t in vec.coeffs} for vec in rows]
-    nonzero_rows = [set(column) for column in half]
 
     def primed_pairing(lo: int, hi: int) -> RationalFunction:
         # <e'_lo, e'_hi> = sum_t P[lo][t] * H[t][hi] over the surviving terms
+        coeffs, column = rows[lo].coeffs, half[hi]
         value = RF_ZERO
-        for t in supports[lo] & nonzero_rows[hi]:
-            value = value + rows[lo].coeffs[basis[t]] * half[hi][t]
+        for t in {index[key] for key in coeffs} & column.keys():
+            value = value + coeffs[basis[t]] * column[t]
         return value
 
+    # A term t of e'_lo inside its downset has rank(t) <= rank(lo), and a
+    # nonzero row t of column hi that keeps the triangle has
+    # rank(t) >= rank(hi).  So e'_lo and column hi, rank(lo) < rank(hi),
+    # share a term only through a term outside its downset or an entry that
+    # breaks the triangle: the pairs are found from those alone, and each
+    # gets the literal entry the full expansion computes.
+    shared: set[tuple[int, int]] = set()
+    if outside:
+        columns_of: dict[int, list[int]] = {}
+        for a_idx, column in enumerate(half):
+            for b_idx in column:
+                columns_of.setdefault(b_idx, []).append(a_idx)
+        for lo, t in outside:
+            shared.update((lo, hi) for hi in columns_of.get(index[t], ()) if rank[lo] < rank[hi])
+    if triangle:
+        rows_of: dict[int, list[int]] = {}
+        for lo, vec in enumerate(rows):
+            for t in vec.coeffs:
+                rows_of.setdefault(index[t], []).append(lo)
+        for t, hi in triangle:
+            shared.update((lo, hi) for lo in rows_of.get(t, ()) if rank[lo] < rank[hi])
     ortho_bad: list[str] = []
-    for i in range(size):
-        # the expansion of <e'_i, e'_j> and <e'_j, e'_i> is the same sum
-        for j in range(i + 1, size):
-            lo, hi = (i, j) if head_keys[i] < head_keys[j] else (j, i)
-            if not supports[lo].isdisjoint(nonzero_rows[hi]):
-                # a term survived where the triangle predicts none; compute
-                # the literal entry for the report
-                value = primed_pairing(lo, hi)
-                if not value.is_zero:
-                    for x, y in ((i, j), (j, i)):
-                        ortho_bad.append(
-                            f"<e'_{basis[x]}, e'_{basis[y]}> = {value} (expected 0)"
-                        )
+    for lo, hi in sorted(shared, key=sorted):
+        value = primed_pairing(lo, hi)
+        if not value.is_zero:
+            i, j = sorted((lo, hi))
+            for x, y in ((i, j), (j, i)):
+                ortho_bad.append(f"<e'_{basis[x]}, e'_{basis[y]}> = {value} (expected 0)")
     report.checks.append(
         CheckResult(
             "orthogonality",
@@ -687,13 +810,19 @@ def verify_orthogonality(n: int) -> VerificationReport:
         )
     )
 
-    # diagonal formula; with unitriangularity the only surviving term of
-    # <e'_a, e'_a> is P[a][a] * H[a][a] = H[a][a]
+    # diagonal formula; by the same two checks the only term of <e'_a, e'_a>
+    # that can survive is P[a][a] * H[a][a], unless a row or a column of a
+    # breaks one of them
     start = time.perf_counter()
+    broken = {i for i, _ in outside} | {a for _, a in triangle}
     diag_bad: list[str] = []
     for i in range(size):
-        value = primed_pairing(i, i)
-        want = predicted_diagonal(basis[i])
+        if i in broken:
+            value = primed_pairing(i, i)
+        else:
+            p, h = rows[i].coeffs.get(basis[i], RF_ZERO), half[i].get(i, RF_ZERO)
+            value = h if p == RF_ONE else p * h
+        want = predicted[i]
         if value != want:
             diag_bad.append(f"<e'_{basis[i]}, e'_{basis[i]}> = {value} != {want}")
     report.checks.append(
@@ -856,13 +985,6 @@ def _polynomial_rows(matrix) -> list[list[Polynomial]]:
     return rows
 
 
-def _horner(coeffs: list[int], x: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
 def _integer_det(rows: list[list[int]]) -> int:
     """Bareiss elimination on an integer matrix, one column per step."""
     sign, previous = 1, 1
@@ -916,22 +1038,13 @@ def det_product(n: int) -> RationalFunction:
 def _det_exponents(n: int) -> list[int]:
     """The product of the predicted diagonal over the factor base.
 
-    Each Delta_k counts once per entry k of a basis sequence and minus once
-    per entry k + 1; the net counts of Delta_k may be negative (that of
-    Delta_1 = q is -208 at n = 8), but a polynomial has no negative exponent
-    over the irreducible Psi_d.
+    The net counts of Delta_k may be negative (that of Delta_1 = q is -208
+    at n = 8), but a polynomial has no negative exponent over the
+    irreducible Psi_d.
     """
     if n < 0:
         raise ValueError("diagram size must be >= 0")
-    counts: dict[int, int] = {}
-    for s in enumerate_diagrams(n):
-        for a in s.entries:
-            counts[a] = counts.get(a, 0) + 1
-    exponents = [0] * len(_delta_exponents(max(counts, default=0)))
-    for k, count in counts.items():
-        net = count - counts.get(k + 1, 0)
-        for i, e in enumerate(_delta_exponents(k)):
-            exponents[i] += net * e
+    exponents = _quotient_exponents(a for s in enumerate_diagrams(n) for a in s.entries)
     if any(e < 0 for e in exponents):
         raise InternalCheckError("diagonal product is not a polynomial")
     return exponents

@@ -132,6 +132,14 @@ def _mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     return out
 
 
+def _horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """The value at x of ascending coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
 def _divrem(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
     """Long division of ascending coefficient sequences, b without trailing
     zeros; a monic integer b keeps integer quotient and remainder."""
@@ -596,6 +604,9 @@ _FACTOR_LOCK = threading.Lock()
 _PSI: list[tuple[int, ...]] = []  # Psi_d by position, in the order d is first needed
 _PSI_POSITION: dict[int, int] = {}  # d -> position in _PSI
 _DELTA_EXPONENTS: list[tuple[int, ...]] = [()]  # index k holds Delta_k over _PSI
+# Psi_i at an integer point; never 0, since every root lies in [-2, 2)
+_POINT = 1000
+_PSI_AT: list[int] = []
 
 
 def _delta_exponents(k: int) -> tuple[int, ...]:
@@ -613,7 +624,10 @@ def _delta_exponents(k: int) -> tuple[int, ...]:
             # the divisors of 2j + 2 that divide no 2i + 2 with i < j
             for d in (j + 1, 2 * j + 2):
                 if d >= 3 and d not in _PSI_POSITION:
-                    _PSI.append(_psi(d))
+                    psi = _psi(d)
+                    # first, so every position a reader finds in _PSI has its value
+                    _PSI_AT.append(_horner(psi, _POINT))
+                    _PSI.append(psi)
                     _PSI_POSITION[d] = len(_PSI) - 1
             exponents = [0] * len(_PSI)
             for d in range(3, 2 * j + 3):
@@ -658,7 +672,11 @@ class _Factored(NamedTuple):
             return _F_ZERO
         a, b = _padded(self.exps, other.exps)
         exps = [x + y for x, y in zip(a, b)]
-        return _normal(_mul(self.num, other.num), self.den * other.den, exps)
+        # Psi_i is irreducible and divides neither numerator where its
+        # exponent is positive, so it can divide the product only where
+        # exactly one exponent is zero
+        divisors = [i for i, (x, y) in enumerate(zip(a, b)) if (not x) != (not y)]
+        return _normal(_mul(self.num, other.num), self.den * other.den, exps, divisors)
 
     def minus(self, other: "_Factored") -> "_Factored":
         if not other.num:
@@ -674,7 +692,10 @@ class _Factored(NamedTuple):
             left += [0] * (len(right) - len(left))
         for i, c in enumerate(right):
             left[i] -= c
-        return _normal(left, den, exps)
+        # where the exponents differ, the side with the smaller one was
+        # multiplied by Psi_i and the other numerator is prime to it
+        divisors = [i for i, (x, y) in enumerate(zip(a, b)) if x and x == y]
+        return _normal(left, den, exps, divisors)
 
     def _over(self, exps: list[int], den: int) -> list[int]:
         """The numerator of this value over den * prod_i Psi_i^exps[i]."""
@@ -694,19 +715,24 @@ def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ..
     return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
 
 
-def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
-    """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i present
-    is divided out exactly while it divides num, then the scalar content."""
+def _normal(num: list[int], den: int, exps: list[int], divisors: Sequence[int]) -> _Factored:
+    """num / (den * prod_i Psi_i^exps[i]) in normal form, when only the Psi_i
+    with i in divisors can divide num: each is divided out exactly while it
+    divides num, then the scalar content."""
     while num and num[-1] == 0:
         num.pop()
     if not num:
         return _F_ZERO
-    for i, e in enumerate(exps):
-        while e:
+    # Psi_i is monic, so Psi_i | num gives Psi_i(x) | num(x) at an integer x:
+    # a division is tried only where that cheap necessary test passes
+    value = _horner(num, _POINT) if divisors else 0
+    for i in divisors:
+        e, at = exps[i], _PSI_AT[i]
+        while e and not value % at:
             quot, rem = _divrem(num, _PSI[i])
             if rem:
                 break
-            num, e = quot, e - 1
+            num, e, value = quot, e - 1, value // at
         exps[i] = e
     while exps and not exps[-1]:
         exps.pop()

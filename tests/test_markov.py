@@ -190,6 +190,37 @@ def test_gram_exponents_match_a_union_find_count(n):
     )
 
 
+@pytest.mark.parametrize("n", range(0, 8))
+def test_symmetric_gram_exponents_equal_the_full_walk(n):
+    """The table gathered by the rotation and reflection lemma equals the
+    circle walk on every pair, the rows it gathers included."""
+    from tlmarkov.markov import _circles, _partners
+
+    partners = [_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)]
+    table = gram_exponents(n)
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert table == tuple(tuple(_circles(a, b) for b in partners) for a in partners)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_symmetries_are_the_dihedral_group_on_the_diagrams(n):
+    """4n permutations of the diagrams (the identity alone for n <= 1), each a
+    bijection, closed under composition and holding the identity."""
+    from tlmarkov.markov import _partners, _symmetries
+
+    partners = [_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)]
+    perms = _symmetries(partners)
+    size = len(partners)
+    assert len(perms) == (4 * n if n >= 2 else 1)
+    for perm in perms:
+        assert sorted(perm) == list(range(size))
+    group = set(perms)
+    assert tuple(range(size)) in group
+    for f in perms:
+        for g in perms:
+            assert tuple(f[g[i]] for i in range(size)) in group
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 def test_gram_json_shares_one_dict_per_value(n):
     g = gram(n)

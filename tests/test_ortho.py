@@ -31,6 +31,8 @@ from tlmarkov.ortho import (
     _downset_size,
     _half_pairings,
     _level,
+    _outside_downset,
+    _packed,
     _reduce_powers,
     bareiss_det,
     change_of_basis,
@@ -137,6 +139,31 @@ def test_predicted_diagonal_examples():
     assert predicted_diagonal(seq("3,2,1")) == rf((0, -2, 0, 1))
 
 
+def chebyshev_product_diagonal(s):
+    """Reference: prod_i Delta_{a_i}/Delta_{a_i-1} as chebyshev powers over a
+    gcd-reduced quotient, the formula before the factor base."""
+    exponents = {}
+    for a in s.entries:
+        exponents[a] = exponents.get(a, 0) + 1
+        exponents[a - 1] = exponents.get(a - 1, 0) - 1
+    num, den = ONE, ONE
+    for k, e in sorted(exponents.items()):
+        if k < 1 or e == 0:
+            continue
+        factor = chebyshev(k) ** abs(e)
+        if e > 0:
+            num = num * factor
+        else:
+            den = den * factor
+    return RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_predicted_diagonal_equals_the_chebyshev_product(n):
+    for s in enumerate_diagrams(n):
+        assert predicted_diagonal(s) == chebyshev_product_diagonal(s), str(s)
+
+
 def test_verify_diagonals_small():
     assert [str(d) for d in change_of_basis(2).diagonal] == ["q^2", "q^2 - 1"]
     assert [str(d) for d in change_of_basis(3).diagonal] == [
@@ -196,6 +223,20 @@ def test_downset_size_counts_the_downset(n):
     basis = enumerate_diagrams(n)
     for b in basis:
         assert _downset_size(b) == sum(1 for a in basis if leq(a, b)), str(b)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_packed_downset_test_agrees_with_leq(n):
+    """The guard-bit test gives leq on every pair, one pair at a time and
+    over the whole basis at once."""
+    basis = enumerate_diagrams(n)
+    packed, guards = _packed(basis)
+    for b in basis:
+        assert _outside_downset(b, basis, packed, guards) == [
+            a for a in basis if not leq(a, b)
+        ], str(b)
+        for a in basis:
+            assert _outside_downset(b, [a], packed, guards) == ([] if leq(a, b) else [a])
 
 
 @given(st.data())
@@ -329,6 +370,103 @@ def test_verify_reports_the_literal_entry_of_a_surviving_term(monkeypatch):
     assert by_name["orthogonality"].details == (
         "<e'_1,1, e'_2,1> = 1/q (expected 0); <e'_2,1, e'_1,1> = 1/q (expected 0)"
     )
+
+
+def test_verify_reports_the_literal_entry_of_a_term_outside_its_downset():
+    """A stored term outside its downset, above it in the head-major order,
+    with the half-pairing triangle intact, makes the orthogonality check
+    compute and report every literal entry the full expansion gives: the
+    dense pairing of the stored vector with the true later ones.  The
+    diagonal check computes its literal entry the same way."""
+    n = 4
+    basis = enumerate_diagrams(n)
+    s, t = seq("2,1,1,1"), seq("2,2,1,1")  # e'_2,1,1,1 is last of its heads
+    assert not leq(t, s) and t.head_first > s.head_first
+    true = {a: orthogonal_vector(a) for a in basis}
+    wrong = DiagramVector(n, {**true[s].coeffs, t: INV_Q})
+    stored = {**true, s: wrong}
+    matrix = gram(n)
+    expected = []
+    for i, x in enumerate(basis):
+        for y in basis[i + 1 :]:
+            lo, hi = (x, y) if x.head_first < y.head_first else (y, x)
+            value = pair_vectors(stored[lo], true[hi], matrix)
+            if not value.is_zero:
+                expected += [
+                    f"<e'_{x}, e'_{y}> = {value} (expected 0)",
+                    f"<e'_{y}, e'_{x}> = {value} (expected 0)",
+                ]
+    assert expected
+    checks = _checks_with(s, wrong, n)
+    assert checks["downset-support"].details == f"e'_{s} contains {t}"
+    assert "(expected 0)" not in checks["half-pairing"].details
+    assert not checks["orthogonality"].passed
+    assert checks["orthogonality"].details == "; ".join(expected[:5])
+    # the stored term meets a nonzero row of its own column too
+    diagonal = pair_vectors(wrong, true[s], matrix)
+    assert diagonal != predicted_diagonal(s)
+    assert checks["diagonal-formula"].details == (
+        f"<e'_{s}, e'_{s}> = {diagonal} != {predicted_diagonal(s)}"
+    )
+
+
+def _literal_entries(basis, rows, half):
+    """Reference: the orthogonality and diagonal details of the full
+    expansion, <e'_lo, e'_hi> = sum_t P[lo][t] H[t][hi] over every pair, with
+    lo the lex-smaller index."""
+    ortho_bad, diag_bad = [], []
+    for i, x in enumerate(basis):
+        for j in range(i, len(basis)):
+            y = basis[j]
+            lo, hi = (i, j) if x.head_first <= y.head_first else (j, i)
+            value = RF_ZERO
+            for t, c in rows[lo].coeffs.items():
+                value = value + c * half[hi].get(basis.index(t), RF_ZERO)
+            if i == j:
+                if value != predicted_diagonal(x):
+                    diag_bad.append(f"<e'_{x}, e'_{x}> = {value} != {predicted_diagonal(x)}")
+            elif not value.is_zero:
+                ortho_bad.append(f"<e'_{x}, e'_{y}> = {value} (expected 0)")
+                ortho_bad.append(f"<e'_{y}, e'_{x}> = {value} (expected 0)")
+    return "; ".join(ortho_bad[:5]), "; ".join(diag_bad[:5])
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_orthogonality_and_diagonal_match_the_full_expansion(data):
+    """With stored vectors and half-pairings corrupted at random, the two
+    checks report what the expansion over every pair gives."""
+    from tlmarkov import ortho as ortho_module
+
+    n = data.draw(st.integers(2, 4))
+    basis = enumerate_diagrams(n)
+    pick = st.sampled_from(range(len(basis)))
+    value = st.sampled_from([INV_Q, rf((-1,)), rf((2, 1)), rf((0, 1), (-1, 0, 1))])
+    rows = [orthogonal_vector(s) for s in basis]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, t = data.draw(pick), data.draw(pick)
+        rows[i] = DiagramVector(n, {**rows[i].coeffs, basis[t]: data.draw(value)})
+    half = _half_pairings(n)
+    for _ in range(data.draw(st.integers(0, 2))):
+        half[data.draw(pick)][data.draw(pick)] = data.draw(value)
+    want_ortho, want_diag = _literal_entries(basis, rows, half)
+    saved = dict(ortho_module._VECTOR_CACHE)
+    # every vector stays stored, so none is rebuilt from a corrupted one
+    ortho_module._VECTOR_CACHE.update({s.entries: vec for s, vec in zip(basis, rows)})
+    true_half_pairings = ortho_module._half_pairings
+    ortho_module._half_pairings = lambda k: half if k == n else true_half_pairings(k)
+    try:
+        checks = {c.name: c for c in verify_orthogonality(n).checks}
+    finally:
+        ortho_module._half_pairings = true_half_pairings
+        ortho_module._VECTOR_CACHE.clear()
+        ortho_module._VECTOR_CACHE.update(saved)
+    assert checks["orthogonality"].passed == (not want_ortho)
+    if want_ortho:
+        assert checks["orthogonality"].details == want_ortho
+    assert checks["diagonal-formula"].passed == (not want_diag)
+    if want_diag:
+        assert checks["diagonal-formula"].details == want_diag
 
 
 def _checks_with(sequence, corrupted, n):

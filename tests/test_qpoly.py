@@ -29,6 +29,7 @@ from tlmarkov.qpoly import (
     Polynomial,
     RationalFunction,
     _delta_exponents,
+    _Factored,
     _from_factored,
     _psi_product,
     _to_factored,
@@ -440,6 +441,67 @@ def test_equal_factored_values_are_equal_tuples(x, y, z):
         assert got == fresh_to_factored(want)
     assert a.times(c).minus(b.times(c)) == a.minus(b).times(c)
     assert a.minus(a) == _F_ZERO
+
+
+def full_normal(num, den, exps):
+    """Reference normal form: trial division by every Psi_i present, whether
+    or not irreducibility allows it to divide."""
+    num, exps = list(num), list(exps)
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return _F_ZERO
+    for i, e in enumerate(exps):
+        while e:
+            quot, rem = qpoly._divrem(num, _PSI[i])
+            if rem:
+                break
+            num, e = quot, e - 1
+        exps[i] = e
+    while exps and not exps[-1]:
+        exps.pop()
+    g = math.gcd(den, *num)
+    return _Factored(tuple(c // g for c in num), den // g, tuple(exps))
+
+
+def factor_values(max_degree=3):
+    """Base values whose numerators carry Psi_d factors too, so that products
+    and differences cancel some of them."""
+    _delta_exponents(8)
+    exponents = st.lists(st.integers(0, 2), max_size=len(_PSI))
+    return st.tuples(polynomials(max_degree, 6), exponents, exponents, st.integers(1, 6)).map(
+        lambda t: RationalFunction(t[0] * _psi_product(t[1]), _psi_product(t[2]).scaled(t[3]))
+    )
+
+
+@given(factor_values(), factor_values())
+@settings(max_examples=200)
+def test_pruned_trial_division_matches_the_full_one(x, y):
+    """times and minus try only the Psi_i that irreducibility lets divide the
+    result, and give the tuple of the full trial division."""
+    a, b = fresh_to_factored(x), fresh_to_factored(y)
+    for left, right in ((a, b), (b, a), (a, a)):
+        if not left.num or not right.num:
+            continue
+        p, r = qpoly._padded(left.exps, right.exps)
+        product = full_normal(
+            qpoly._mul(left.num, right.num),
+            left.den * right.den,
+            [u + v for u, v in zip(p, r)],
+        )
+        assert left.times(right) == product
+        exps = [max(u, v) for u, v in zip(p, r)]
+        den = math.lcm(left.den, right.den)
+        minuend, subtrahend = left._over(exps, den), right._over(exps, den)
+        minuend += [0] * (len(subtrahend) - len(minuend))
+        difference = full_normal(
+            [c - (subtrahend[i] if i < len(subtrahend) else 0) for i, c in enumerate(minuend)],
+            den,
+            exps,
+        )
+        assert left.minus(right) == difference
+    assert factored_value(a.times(b)) == x * y
+    assert factored_value(a.minus(b)) == x - y
 
 
 def test_denominators_outside_the_base_do_not_translate():
