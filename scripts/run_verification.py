@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the exact verification suite over a range of diagram sizes.
 
-Prints one row per size with check timings, plus the fixture checks at n = 3
-and (optionally) the fraction-free determinant oracle.  Exit status is
+Prints one row per size with check timings, the meander closed form of the
+determinant, plus the fixture checks at n = 3 and (optionally) the
+fraction-free determinant oracle.  Exit status is
 nonzero if any check fails, which makes the script usable as a long-form
 smoke test:
 
@@ -14,7 +15,12 @@ import sys
 import time
 
 from tlmarkov.diagrams import enumerate_diagrams
-from tlmarkov.ortho import check_fixture_bases, det_oracle_check, verify_orthogonality
+from tlmarkov.ortho import (
+    check_fixture_bases,
+    det_closed_form_check,
+    det_oracle_check,
+    verify_orthogonality,
+)
 
 
 def main() -> int:
@@ -40,9 +46,10 @@ def main() -> int:
         if not report.passed:
             all_passed = False
             print(report.to_text())
-        if args.det_oracle_max_n >= n:
-            check = det_oracle_check(n)
-            print(f"       det-oracle={check.seconds:7.2f}s  "
+        checks = [("det-oracle", det_oracle_check(n))] if args.det_oracle_max_n >= n else []
+        checks.append(("det-closed-form", det_closed_form_check(n)))
+        for label, check in checks:
+            print(f"       {label}={check.seconds:7.2f}s  "
                   f"{'ok' if check.passed else 'FAILED: ' + check.details}")
             all_passed = all_passed and check.passed
 

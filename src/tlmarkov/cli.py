@@ -28,6 +28,7 @@ from .markov import gram, pair_diagrams
 from .ortho import (
     change_of_basis,
     check_fixture_bases,
+    det_closed_form_check,
     det_oracle_check,
     verify_orthogonality,
 )
@@ -42,18 +43,17 @@ def _iter_json(obj) -> Iterator[str]:
     chunks, for JSON values whose dict keys are str.
 
     The top value and the direct elements of its lists (the rows of a matrix)
-    are yielded one at a time; anything deeper is rendered whole, each dict
-    object once per depth, so entries that share one dict are rendered once.
+    are yielded one at a time; anything deeper is rendered whole, as one
+    chunk joined from its members' texts, each dict object once per depth,
+    so entries that share one dict are rendered once.
     """
-    memo: dict[tuple[int, int], str] = {}
+    # depth -> id of a dict -> its text; obj holds every dict, so no id is reused
+    memo: dict[int, dict[int, str]] = {}
 
     def whole(value, depth: int) -> str:
-        if not isinstance(value, dict):
-            return "".join(chunks(value, depth, 0))
-        key = (id(value), depth)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = "".join(chunks(value, depth, 0))
+        text = "".join(chunks(value, depth, 0))
+        if isinstance(value, dict):
+            memo.setdefault(depth, {})[id(value)] = text
         return text
 
     def chunks(value, depth: int, streamed: int) -> Iterator[str]:
@@ -72,16 +72,22 @@ def _iter_json(obj) -> Iterator[str]:
             yield brackets
             return
         indent = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + brackets[1]
+        if not streamed:
+            seen = memo.setdefault(depth + 1, {})
+            texts = [
+                prefix + (seen.get(id(member)) or whole(member, depth + 1))
+                for prefix, member in members
+            ]
+            yield brackets[0] + indent + f",{indent}".join(texts) + close
+            return
         yield brackets[0]
         for i, (prefix, member) in enumerate(members):
             yield f",{indent}{prefix}" if i else f"{indent}{prefix}"
-            if streamed:
-                yield from chunks(member, depth + 1, streamed - 1)
-            else:
-                yield whole(member, depth + 1)
-        yield "\n" + "  " * depth + brackets[1]
+            yield from chunks(member, depth + 1, streamed - 1)
+        yield close
 
-    yield from chunks(obj, 0, 1)
+    yield from chunks(obj, 0, 2)
     yield "\n"
 
 
@@ -237,6 +243,7 @@ def _cmd_verify(args) -> int:
         report.checks.extend(check_fixture_bases().checks)
     if args.det_oracle:
         report.checks.append(det_oracle_check(args.n))
+        report.checks.append(det_closed_form_check(args.n))
     if args.format == "json":
         _emit(_iter_json(report.to_json_obj()), args.out)
     else:

@@ -15,11 +15,11 @@ entries are the products of Chebyshev quotients
 
     <e'_a, e'_a> = prod_i Delta_{a_i} / Delta_{a_i - 1}.
 
-:func:`orthogonal_vector` builds all the vectors of one size at once from
-those one size down, and each coefficient of the recursion is computed once
-per distinct (h, lifted, previous) triple of coefficients.  The builder and
-the verifier read one table of l_h and tau_h images per size (:func:`_level`),
-built once per process; each image is found by its :class:`Matching`.
+The vectors are built all of one size at once from those one size down, and
+each coefficient of the recursion is computed once per distinct
+(h, lifted, previous) triple of coefficients.  The builder and the verifier
+read one table of l_h and tau_h images per size (:func:`_level`), built once
+per process; each image is found by its :class:`Matching`.
 
 Since G = L D L^T with P = L^-1 unitriangular, every denominator in P and in
 the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
@@ -27,8 +27,16 @@ determinant structure).  So the builder, check (ii) and the half-pairing
 recursion compute over the irreducible factors Psi_d of the Delta_k
 (``qpoly._Factored``): an integer numerator over a positive integer and an
 exponent vector, reduced by exact division by the Psi_d present, with no
-polynomial gcd.  Each distinct value crosses to :class:`RationalFunction`
-once, at the vector and report edges, which stay as they were.
+polynomial gcd.
+
+One store holds the only copy of the vectors: each is an ``array('I')`` of
+diagram indices with a parallel tuple of shared ``_Factored`` values, keyed
+by its sequence.  The builder, check (ii), the downset test and the
+orthogonality and diagonal checks read it by index.  Values cross to
+:class:`RationalFunction` only at the edges, once per distinct value:
+:func:`orthogonal_vector` wraps an entry into a :class:`DiagramVector` on
+first request, :func:`change_of_basis` fills the rows of P by index, and a
+report converts the values it prints.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -76,9 +84,10 @@ import math
 import operator
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .diagrams import (
     Matching,
@@ -90,8 +99,11 @@ from .diagrams import (
 )
 from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents, pair_vectors
 from .qpoly import (
+    _F_ONE,
     _F_ZERO,
     _FROM_FACTORED,
+    _PSI_POSITION,
+    _PSI_PRODUCTS,
     _TO_FACTORED,
     ONE,
     RF_ONE,
@@ -103,6 +115,7 @@ from .qpoly import (
     _Factored,
     _from_factored,
     _horner,
+    _psi_power,
     _psi_product,
     _to_factored,
     chebyshev,
@@ -120,6 +133,7 @@ __all__ = [
     "bareiss_det",
     "det_product",
     "det_oracle_check",
+    "det_closed_form_check",
     "check_fixture_bases",
     "TRIVALENT_FIXTURES",
 ]
@@ -133,37 +147,104 @@ class InternalCheckError(RuntimeError):
 # The orthogonal vectors.
 # ---------------------------------------------------------------------------
 
+class _Stored(NamedTuple):
+    """One orthogonal vector: the diagram indices of its terms, in term
+    order, and the parallel coefficients, shared ``_Factored`` objects.
+
+    ``outside`` marks a vector written by :func:`_store_vector` with a
+    coefficient whose denominator did not factor over the base as grown
+    then; that coefficient is kept as its :class:`RationalFunction`.
+    """
+
+    indices: array
+    values: tuple
+    outside: bool
+
+
 _VECTOR_LOCK = threading.RLock()
-_VECTOR_CACHE: dict[tuple[int, ...], DiagramVector] = {}
+# the store: the only copy of the vectors, keyed by sequence entries
+_VECTOR_CACHE: dict[tuple[int, ...], _Stored] = {}
+# the public DiagramVector of each vector asked for, one object per key
+_WRAPPED: dict[tuple[int, ...], DiagramVector] = {}
 
 
 def orthogonal_vector(s: RestrictedSequence) -> DiagramVector:
     """The orthogonal vector e'_s as a combination of diagram basis vectors.
 
-    Memoized over the full sequence.  A miss builds every vector of size
-    s.size at once from those one size down (:func:`_build_level`), so the
-    recursion is well founded: the tail is shorter, and within a level the
-    decremented head comes first.
+    The vectors live in an index-keyed store over the factor base
+    (:func:`_build_level`); the first request for s wraps its entry into a
+    :class:`DiagramVector`, converting each distinct coefficient once, and
+    memoizes it, so every call returns the same object.
     """
     if s.size < 1:
         raise ValueError("orthogonal vectors are indexed by nonempty sequences")
-    cached = _VECTOR_CACHE.get(s.entries)
-    if cached is not None:
-        return cached
+    vec = _WRAPPED.get(s.entries)
+    if vec is not None:
+        return vec
     with _VECTOR_LOCK:
-        if s.entries not in _VECTOR_CACHE:
-            _build_level(s.size)
-        return _VECTOR_CACHE[s.entries]
+        vec = _WRAPPED.get(s.entries)
+        if vec is None:
+            stored = _stored(s)
+            terms = map(_level(s.size).basis.__getitem__, stored.indices)
+            vec = DiagramVector(s.size, dict(zip(terms, map(_rational, stored.values))))
+            _WRAPPED[s.entries] = vec
+        return vec
+
+
+def _stored(s: RestrictedSequence) -> _Stored:
+    """The store's entry for e'_s.  A miss builds every vector of size s.size
+    at once from those one size down, so the recursion is well founded: the
+    tail is shorter, and within a level the decremented head comes first."""
+    stored = _VECTOR_CACHE.get(s.entries)
+    if stored is None:
+        with _VECTOR_LOCK:
+            if s.entries not in _VECTOR_CACHE:
+                _build_level(s.size)
+            stored = _VECTOR_CACHE[s.entries]
+    return stored
+
+
+def _store_vector(s: RestrictedSequence, vec: DiagramVector) -> None:
+    """Write vec into the store as e'_s, replacing what is there.
+
+    Each coefficient is translated to the factor base; one outside it is
+    kept as it is and marks the entry.  The vectors built later in the level
+    of s are built from it.
+    """
+    index = _level(vec.size).index
+    values = tuple(_to_factored(value) or value for value in vec.coeffs.values())
+    outside = not all(isinstance(value, _Factored) for value in values)
+    stored = _Stored(array("I", map(index.__getitem__, vec.coeffs)), values, outside)
+    with _VECTOR_LOCK:
+        _VECTOR_CACHE[s.entries] = stored
+        _WRAPPED.pop(s.entries, None)
+
+
+def _rational(value: _Factored | RationalFunction) -> RationalFunction:
+    """A stored coefficient as a RationalFunction."""
+    return _from_factored(value) if isinstance(value, _Factored) else value
+
+
+def _over_base(stored: _Stored) -> tuple[_Factored | None, ...]:
+    """The stored coefficients over the factor base as grown so far; None
+    for one whose denominator does not factor over it."""
+    if not stored.outside:
+        return stored.values
+    return tuple(v if isinstance(v, _Factored) else _to_factored(v) for v in stored.values)
+
+
+_EMPTY = _Stored(array("I", [0]), (_F_ONE,), False)  # e'_() = e_()
 
 
 def _build_level(k: int) -> None:
-    """Memoize e'_(t,h) for every diagram (t,h) of size k.
+    """Store e'_(t,h) for every diagram (t,h) of size k.
 
-    Each l_h(e'_t) is pushed through the lift table of size k, and each
-    coefficient of e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1)
-    is computed over the factor base once per distinct (h, lifted, previous)
-    triple.  Vectors one size down are read through :func:`orthogonal_vector`;
-    the empty diagram's e'_() is e_().  A vector already in the memo is kept,
+    The entry of e'_t one size down is pushed through the lift table of h,
+    index by index, and each coefficient of
+    e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1) is computed
+    over the factor base once per distinct (h, lifted, previous) triple.  The
+    columns go into the store as they are; no RationalFunction is made.  The
+    empty diagram's e'_() is e_().  A vector already in the store is kept,
     and the vectors built after it in the level are built from it; a
     coefficient of such a vector outside the factor base raises
     :class:`InternalCheckError`.
@@ -173,12 +254,11 @@ def _build_level(k: int) -> None:
     # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
     for t in below.basis:
-        tail = orthogonal_vector(t) if t.size else DiagramVector.basis_vector(t)
-        terms = _factored_coeffs(tail, below.index).items()
+        tail = _stored(t) if t.size else _EMPTY
+        values = _base_values(tail, below.basis)
         previous: Mapping[int, _Factored] = {}
         for h in _heads(t):
-            images = level.lift[h - 1]
-            column = {images[u]: c for u, c in terms}
+            column = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), values))
             # previous is empty for h = 1
             for key, value in previous.items():
                 entry = _combined(combined, h, column.get(key, _F_ZERO), value)
@@ -186,47 +266,50 @@ def _build_level(k: int) -> None:
                     column[key] = entry
                 else:
                     column.pop(key, None)
-            vec = DiagramVector(k, {level.basis[i]: _from_factored(c) for i, c in column.items()})
-            kept = _VECTOR_CACHE.setdefault(t.entries + (h,), vec)
-            previous = column if kept is vec else _factored_coeffs(kept, level.index)
+            stored = _Stored(array("I", column), tuple(column.values()), False)
+            kept = _VECTOR_CACHE.setdefault(t.entries + (h,), stored)
+            if kept is not stored:
+                column = dict(zip(kept.indices, _base_values(kept, level.basis)))
+            previous = column
 
 
-def _factored_coeffs(
-    vec: DiagramVector, index: Mapping[RestrictedSequence, int]
-) -> dict[int, _Factored]:
-    """A stored vector's coefficients over the factor base, keyed by index."""
-    out = {}
-    for key, value in vec.coeffs.items():
-        factored = _to_factored(value)
-        if factored is None:
-            raise InternalCheckError(
-                f"coefficient {value} of e_{key} has a denominator outside the "
-                "Chebyshev factor base"
-            )
-        out[index[key]] = factored
-    return out
+def _base_values(stored: _Stored, basis: Sequence[RestrictedSequence]) -> tuple[_Factored, ...]:
+    """The stored coefficients over the factor base, for the builder."""
+    values = _over_base(stored)
+    if stored.outside and None in values:
+        i = values.index(None)
+        raise InternalCheckError(
+            f"coefficient {stored.values[i]} of e_{basis[stored.indices[i]]} has a "
+            "denominator outside the Chebyshev factor base"
+        )
+    return values
 
 
 def _memo_sizes() -> dict[str, int]:
     """Entries held by each process-wide memo."""
     return {
         "vectors": len(_VECTOR_CACHE),
+        "wrapped": len(_WRAPPED),
         "levels": _level.cache_info().currsize,
         "to_factored": len(_TO_FACTORED),
         "from_factored": len(_FROM_FACTORED),
+        "psi_products": len(_PSI_PRODUCTS),
     }
 
 
 def _clear_memos() -> None:
-    """Drop the vectors, the level tables and the factor-base translations.
+    """Drop the vector store and its wrappers, the level tables, the
+    factor-base translations and the Psi products.
 
     The factor base itself stays, so its positions stay stable.
     """
     with _VECTOR_LOCK:
         _VECTOR_CACHE.clear()
+        _WRAPPED.clear()
         _level.cache_clear()
         _TO_FACTORED.clear()
         _FROM_FACTORED.clear()
+        _PSI_PRODUCTS.clear()
 
 
 def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
@@ -237,8 +320,8 @@ def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
     the product of the negative ones is already reduced, with no gcd.
     """
     exponents = _quotient_exponents(s.entries)
-    num = _psi_product([max(e, 0) for e in exponents])
-    den = _psi_product([max(-e, 0) for e in exponents])
+    num = _psi_power(tuple(max(e, 0) for e in exponents))
+    den = _psi_power(tuple(max(-e, 0) for e in exponents))
     return RationalFunction._from_normal(num, den)
 
 
@@ -281,6 +364,8 @@ class OrthoBasis:
 def change_of_basis(n: int) -> OrthoBasis:
     """Stack the orthogonal vectors over the canonical basis order.
 
+    Each row of P is filled by index from the store, and each distinct
+    coefficient object is converted to a RationalFunction once.
     Unitriangularity and downset support are asserted before returning; a
     failure signals an implementation bug, never expected data.
     """
@@ -288,16 +373,28 @@ def change_of_basis(n: int) -> OrthoBasis:
         raise ValueError("change of basis needs n >= 1")
     basis = enumerate_diagrams(n)
     packed, guards = _packed(basis)
+    by_position = list(packed.values())
+    # the coefficients are few shared objects and hashing one is slow, so
+    # each is converted once, looked up by id; holding the object keeps its
+    # id from being reused
+    converted: dict[int, tuple[object, RationalFunction]] = {}
     rows = []
-    for s in basis:
-        vec = orthogonal_vector(s)
-        row = tuple(vec.coeffs.get(t, RF_ZERO) for t in basis)
-        if vec.coeffs.get(s, RF_ZERO) != RF_ONE:
+    for a, s in enumerate(basis):
+        stored = _stored(s)
+        row = [RF_ZERO] * len(basis)
+        for i, value in zip(stored.indices, stored.values):
+            seen = converted.get(id(value))
+            if seen is None:
+                seen = converted[id(value)] = (value, _rational(value))
+            row[i] = seen[1]
+        if row[a] != RF_ONE:
             raise InternalCheckError(f"coefficient of {s} in e'_{s} is not 1")
-        outside = _outside_downset(s, vec.coeffs, packed, guards)
+        outside = _outside_downset(a, stored.indices, by_position, guards)
         if outside:
-            raise InternalCheckError(f"e'_{s} has support outside its downset: {outside[0]}")
-        rows.append(row)
+            raise InternalCheckError(
+                f"e'_{s} has support outside its downset: {basis[outside[0]]}"
+            )
+        rows.append(tuple(row))
     P = SquareMatrix(basis, tuple(rows))
     diagonal = tuple(predicted_diagonal(s) for s in basis)
     return OrthoBasis(n=n, basis=basis, P=P, diagonal=diagonal)
@@ -419,9 +516,9 @@ def _downset_size(b: RestrictedSequence) -> int:
     return sum(counts.values())
 
 
-def _packed(basis: Sequence[RestrictedSequence]) -> tuple[dict[tuple[int, ...], int], int]:
-    """Each sequence of basis packed into one int, keyed by its entries, and
-    the mask of the guard bits.
+def _packed(basis: Sequence[RestrictedSequence]) -> tuple[dict[RestrictedSequence, int], int]:
+    """Each sequence of basis packed into one int, in basis order, and the
+    mask of the guard bits.
 
     Entry i fills the low w bits of field i, with 2^w above every entry, and
     bit w of the field is its guard bit.  Then (P_b | guards) - P_a keeps
@@ -432,28 +529,20 @@ def _packed(basis: Sequence[RestrictedSequence]) -> tuple[dict[tuple[int, ...], 
     width = n.bit_length()
     stride = width + 1
     guards = sum(1 << (stride * i + width) for i in range(n))
-    packed = {
-        s.entries: sum(a << (stride * i) for i, a in enumerate(s.entries)) for s in basis
-    }
+    packed = {s: sum(a << (stride * i) for i, a in enumerate(s.entries)) for s in basis}
     return packed, guards
 
 
-_ENTRIES = operator.attrgetter("entries")
-
-
-def _outside_downset(
-    b: RestrictedSequence,
-    terms: Iterable[RestrictedSequence],
-    packed: Mapping[tuple[int, ...], int],
-    guards: int,
-) -> list[RestrictedSequence]:
+def _outside_downset(b, terms: Iterable, packed, guards: int) -> list:
     """The terms t with t <= b false, in order, by one guard-bit subtraction
-    per term (:func:`_packed`); terms is read twice when one is found."""
-    top = packed[b.entries] | guards
-    gaps = map(top.__sub__, map(packed.__getitem__, map(_ENTRIES, terms)))
+    per term (:func:`_packed`); packed maps b and every term to its packed
+    int, by sequence or by basis position.  terms is read twice when one is
+    found."""
+    top = packed[b] | guards
+    gaps = map(top.__sub__, map(packed.__getitem__, terms))
     if functools.reduce(operator.and_, gaps, guards) == guards:
         return []
-    return [t for t in terms if (top - packed[t.entries]) & guards != guards]
+    return [t for t in terms if (top - packed[t]) & guards != guards]
 
 
 def _heads(t: RestrictedSequence) -> range:
@@ -504,7 +593,7 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
     # the entries repeat, so each field operation is done once per operands
     raised: dict[_Factored, _Factored] = {}
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
-    columns: list[dict[int, _Factored]] = [{0: _Factored((1,), 1, ())}]
+    columns: list[dict[int, _Factored]] = [{0: _F_ONE}]
     for k in range(1, n + 1):
         below, level = _level(k - 1).basis, _level(k)
         preimages: list[list[list[tuple[int, int]]]] = [[[] for _ in below] for _ in range(k)]
@@ -584,52 +673,39 @@ def _recursion_mismatches(n: int) -> list[str]:
     e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), through the
     lift table of link (i), and e'_(1) = e_(1).
 
-    The recursion is evaluated over the factor base, keyed by diagram index,
-    and compared with the stored vector as a whole; only a vector that
-    differs is compared term by term, in basis order, for the report.  A
-    stored coefficient outside the base is a mismatch, and so is every
-    coefficient whose recursion reads one.
+    The recursion is evaluated over the factor base, keyed by diagram index
+    as the store is, with its own memo of combined triples, and compared
+    with the stored vector as a whole; only a vector that differs is
+    compared term by term, in basis order, for the report.  A stored
+    coefficient outside the base is a mismatch, and so is every coefficient
+    whose recursion reads one.
     """
     bad = []
     _delta_exponents(n)  # the factor base holds every Psi_d of Delta_1..Delta_n
     # the coefficients repeat: at n = 7 the 46,312 terms hold 3,888 distinct
     # (h, lifted, previous) triples
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
-    # a stored coefficient is one of few objects and hashing one is slow, so
-    # each object is translated once, looked up by id; holding the object
-    # keeps its id from being reused
-    translated: dict[int, tuple[RationalFunction, _Factored | None]] = {}
-
-    def factored(vec: DiagramVector, position: Mapping[tuple[int, ...], int]) -> dict:
-        out = {}
-        for key, c in vec.coeffs.items():
-            seen = translated.get(id(c))
-            if seen is None:
-                seen = translated[id(c)] = (c, _to_factored(c))
-            out[position[key.entries]] = seen[1]
-        return out
-
     first = RestrictedSequence((1,))
     if orthogonal_vector(first) != DiagramVector.basis_vector(first):
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
     for k in range(2, n + 1):
         below, level = _level(k - 1), _level(k)
-        below_position = {s.entries: i for i, s in enumerate(below.basis)}
-        position = {s.entries: i for i, s in enumerate(level.basis)}
         # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
         a_idx = 0
         for t in below.basis:
-            tail = factored(orthogonal_vector(t), below_position)
-            tail_outside = None in tail.values()
+            tail = _stored(t)
+            tail_values = _over_base(tail)
+            tail_outside = tail.outside and None in tail_values
             previous: dict[int, _Factored | None] = {}
+            previous_outside = False
             for h in _heads(t):
                 a = level.basis[a_idx]
                 a_idx += 1
-                vec = orthogonal_vector(a)
-                got = factored(vec, position)
+                stored = _stored(a)
+                got = dict(zip(stored.indices, _over_base(stored)))
                 lift = level.lift[h - 1]
-                lifted = {lift[u]: c for u, c in tail.items()}
-                outside = tail_outside or None in previous.values()
+                lifted = dict(zip(map(lift.__getitem__, tail.indices), tail_values))
+                outside = tail_outside or previous_outside
                 if not outside:
                     want = dict(lifted)
                     for key, value in previous.items():
@@ -642,6 +718,7 @@ def _recursion_mismatches(n: int) -> list[str]:
                     recursion = f"l_{h}(e'_{t})"
                     if h > 1:
                         recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
+                    raw = dict(zip(stored.indices, stored.values))
                     for i in sorted(got.keys() | lifted.keys() | previous.keys()):
                         key = level.basis[i]
                         operands = (lifted.get(i, _F_ZERO), previous.get(i, _F_ZERO))
@@ -654,10 +731,11 @@ def _recursion_mismatches(n: int) -> list[str]:
                         value = _combined(combined, h, *operands)
                         if got.get(i, _F_ZERO) != value:
                             bad.append(
-                                f"e'_{a} has {vec.coeffs.get(key, RF_ZERO)} != "
+                                f"e'_{a} has {_rational(raw.get(i, _F_ZERO))} != "
                                 f"{_from_factored(value)} on e_{key} by {recursion}"
                             )
                 previous = got
+                previous_outside = stored.outside and None in got.values()
     return bad
 
 
@@ -667,17 +745,18 @@ def verify_orthogonality(n: int) -> VerificationReport:
     if n < 1:
         raise ValueError("verification needs n >= 1")
     report = VerificationReport(label=f"verify n={n}")
-    basis, index = _level(n).basis, _level(n).index
+    basis = _level(n).basis
     size = len(basis)
-    rows = [orthogonal_vector(s) for s in basis]
+    rows = [_stored(s) for s in basis]
 
     # unitriangularity
     start = time.perf_counter()
-    failures = [
-        str(basis[i])
-        for i, vec in enumerate(rows)
-        if vec.coeffs.get(basis[i], RF_ZERO) != RF_ONE
+    # P[a][a], found by a scan of the row's indices
+    p_diagonal = [
+        _rational(row.values[row.indices.index(i)]) if i in row.indices else RF_ZERO
+        for i, row in enumerate(rows)
     ]
+    failures = [str(basis[i]) for i, p in enumerate(p_diagonal) if p != RF_ONE]
     report.checks.append(
         CheckResult(
             "unitriangular",
@@ -690,15 +769,16 @@ def verify_orthogonality(n: int) -> VerificationReport:
     # support inside the downset, one guard-bit subtraction per term
     start = time.perf_counter()
     packed, guards = _packed(basis)
+    by_position = list(packed.values())
     outside = [
         (i, t)
-        for i, vec in enumerate(rows)
-        for t in _outside_downset(basis[i], vec.coeffs, packed, guards)
+        for i, row in enumerate(rows)
+        for t in _outside_downset(i, row.indices, by_position, guards)
     ]
-    support_total = sum(len(vec.coeffs) for vec in rows)
+    support_total = sum(len(row.indices) for row in rows)
     downset_total = sum(_downset_size(b) for b in basis)
     if outside:
-        details = "; ".join(f"e'_{basis[i]} contains {t}" for i, t in outside[:5])
+        details = "; ".join(f"e'_{basis[i]} contains {basis[t]}" for i, t in outside[:5])
     elif support_total == downset_total:
         # observed strict converse: every downset element carries a nonzero
         # coefficient (reported, not required)
@@ -765,10 +845,10 @@ def verify_orthogonality(n: int) -> VerificationReport:
 
     def primed_pairing(lo: int, hi: int) -> RationalFunction:
         # <e'_lo, e'_hi> = sum_t P[lo][t] * H[t][hi] over the surviving terms
-        coeffs, column = rows[lo].coeffs, half[hi]
+        coeffs, column = dict(zip(rows[lo].indices, rows[lo].values)), half[hi]
         value = RF_ZERO
-        for t in {index[key] for key in coeffs} & column.keys():
-            value = value + coeffs[basis[t]] * column[t]
+        for t in coeffs.keys() & column.keys():
+            value = value + _rational(coeffs[t]) * column[t]
         return value
 
     # A term t of e'_lo inside its downset has rank(t) <= rank(lo), and a
@@ -784,12 +864,12 @@ def verify_orthogonality(n: int) -> VerificationReport:
             for b_idx in column:
                 columns_of.setdefault(b_idx, []).append(a_idx)
         for lo, t in outside:
-            shared.update((lo, hi) for hi in columns_of.get(index[t], ()) if rank[lo] < rank[hi])
+            shared.update((lo, hi) for hi in columns_of.get(t, ()) if rank[lo] < rank[hi])
     if triangle:
         rows_of: dict[int, list[int]] = {}
-        for lo, vec in enumerate(rows):
-            for t in vec.coeffs:
-                rows_of.setdefault(index[t], []).append(lo)
+        for lo, row in enumerate(rows):
+            for t in row.indices:
+                rows_of.setdefault(t, []).append(lo)
         for t, hi in triangle:
             shared.update((lo, hi) for lo in rows_of.get(t, ()) if rank[lo] < rank[hi])
     ortho_bad: list[str] = []
@@ -820,7 +900,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
         if i in broken:
             value = primed_pairing(i, i)
         else:
-            p, h = rows[i].coeffs.get(basis[i], RF_ZERO), half[i].get(i, RF_ZERO)
+            p, h = p_diagonal[i], half[i].get(i, RF_ZERO)
             value = h if p == RF_ONE else p * h
         want = predicted[i]
         if value != want:
@@ -1063,6 +1143,36 @@ def det_oracle_check(n: int) -> CheckResult:
         else f"bareiss {direct} != product {product}"
     )
     return CheckResult("determinant-oracle", passed, time.perf_counter() - start, details)
+
+
+def det_closed_form_check(n: int) -> CheckResult:
+    """Compare the product of the predicted diagonal with the meander closed
+    form det G_n = prod_j Delta_j^a(n,j), where
+    a(n,j) = C(2n,n-j) - 2C(2n,n-j-1) + C(2n,n-j-2) (Di Francesco, Golinelli
+    and Guitter), exponent by exponent over the Psi_d; nothing is expanded."""
+    start = time.perf_counter()
+
+    def c(k: int) -> int:
+        return math.comb(2 * n, k) if k >= 0 else 0
+
+    closed = [0] * len(_delta_exponents(n))
+    for j in range(1, n + 1):
+        a = c(n - j) - 2 * c(n - j - 1) + c(n - j - 2)
+        for i, e in enumerate(_delta_exponents(j)):
+            closed[i] += a * e
+    product = _det_exponents(n)
+    psi = {i: d for d, i in _PSI_POSITION.items()}
+    bad = [
+        f"Psi_{psi[i]}: product {x} != closed form {y}"
+        for i, (x, y) in enumerate(zip(product, closed))
+        if x != y
+    ]
+    details = (
+        f"the diagonal product has the closed form's exponent on each of {len(closed)} Psi_d"
+        if not bad
+        else "; ".join(bad[:5])
+    )
+    return CheckResult("det-closed-form", not bad, time.perf_counter() - start, details)
 
 
 # ---------------------------------------------------------------------------

@@ -708,6 +708,7 @@ class _Factored(NamedTuple):
 
 
 _F_ZERO = _Factored((), 1, ())
+_F_ONE = _Factored((1,), 1, ())
 
 
 def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -752,6 +753,20 @@ def _psi_product(exps: Sequence[int]) -> Polynomial:
     return result
 
 
+# the products made at the RationalFunction edge, the denominators of
+# converted values and the predicted diagonals: at size 7 the 980 distinct
+# coefficients of the vectors share 153 exponent vectors
+_PSI_PRODUCTS: dict[tuple[int, ...], Polynomial] = {}
+
+
+def _psi_power(exps: tuple[int, ...]) -> Polynomial:
+    """prod_i Psi_i^exps[i], expanded once per exponent vector."""
+    product = _PSI_PRODUCTS.get(exps)
+    if product is None:
+        product = _PSI_PRODUCTS.setdefault(exps, _psi_product(exps))
+    return product
+
+
 # each direction translates a value once; the reverse entry is filled too,
 # so every distinct value has one RationalFunction object
 _TO_FACTORED: dict[RationalFunction, _Factored] = {}
@@ -790,7 +805,7 @@ def _from_factored(value: _Factored) -> RationalFunction:
     rf = _FROM_FACTORED.get(value)
     if rf is None:
         num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
-        rf = RationalFunction._from_normal(Polynomial(tuple(num)), _psi_product(value.exps))
+        rf = RationalFunction._from_normal(Polynomial(tuple(num)), _psi_power(value.exps))
         rf = _FROM_FACTORED.setdefault(value, rf)
         _TO_FACTORED.setdefault(rf, value)
     return rf

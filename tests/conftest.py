@@ -1,8 +1,9 @@
 """Shared hypothesis strategies for the property suite, the term-by-term
-reference for the orthogonal vectors, and the invariants of factor-base
-coefficients."""
+reference for the orthogonal vectors, a writer into the vector store, and
+the invariants of factor-base coefficients."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -66,6 +67,29 @@ def term_recursion(s, memo):
                 vec = vec - term_recursion(previous, memo).scaled(ratio)
         memo[s.entries] = vec
     return memo[s.entries]
+
+
+@contextmanager
+def stored_vectors(vectors=(), clear=False):
+    """Context: write each (sequence, DiagramVector) pair into the vector
+    store through its entry point, after emptying the store if clear, and
+    restore the store and its wrapped vectors afterwards."""
+    from tlmarkov import ortho
+
+    with ortho._VECTOR_LOCK:
+        saved = dict(ortho._VECTOR_CACHE), dict(ortho._WRAPPED)
+        if clear:
+            ortho._VECTOR_CACHE.clear()
+            ortho._WRAPPED.clear()
+    try:
+        for s, vec in dict(vectors).items():
+            ortho._store_vector(s, vec)
+        yield
+    finally:
+        with ortho._VECTOR_LOCK:
+            for memo, entries in zip((ortho._VECTOR_CACHE, ortho._WRAPPED), saved):
+                memo.clear()
+                memo.update(entries)
 
 
 def assert_one_dict_per_value(entries, dicts):

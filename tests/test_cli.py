@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tlmarkov.cli import _dump_json, main
+from tlmarkov.cli import _dump_json, _iter_json, main
 from tlmarkov.markov import gram
 from tlmarkov.ortho import change_of_basis
 
@@ -167,6 +167,15 @@ def test_verify_with_det_oracle(capsys):
     assert "determinant-oracle: PASS" in out
 
 
+def test_det_oracle_report_gives_the_closed_form_after_the_oracle(capsys):
+    code, out, _ = run(capsys, "verify", "2", "--det-oracle", "--format", "json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[-2:] == ["determinant-oracle", "det-closed-form"]
+    code, out, _ = run(capsys, "verify", "2", "--format", "json")
+    assert "det-closed-form" not in [c["name"] for c in json.loads(out)["checks"]]
+
+
 def test_det_oracle_guardrail_exits_before_any_work(capsys, monkeypatch):
     import tlmarkov.cli as cli_module
 
@@ -273,6 +282,19 @@ def test_json_output_is_the_stdlib_rendering(tmp_path, capsys, command, n):
     code, _, _ = run(capsys, command, str(n), "--format", "json", "--out", str(path))
     assert code == 0
     assert path.read_bytes() == out.encode()
+
+
+def test_json_rows_are_streamed_one_chunk_each():
+    obj = change_of_basis(3).to_json()
+    chunks = list(_iter_json(obj))
+    assert "".join(chunks) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # "{", then per key a separator and its value: each of the three lists
+    # of five rows as "[", separator and row for each row, "]"; "3" for n;
+    # then "}" and the final newline
+    assert len(chunks) == 1 + 3 * (1 + 1 + 2 * 5 + 1) + 2 + 1 + 1
+    for row in obj["P"]:
+        text = json.dumps(row, sort_keys=True, indent=2)
+        assert text.replace("\n", "\n    ") in chunks
 
 
 json_values = st.recursive(

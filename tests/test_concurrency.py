@@ -3,7 +3,7 @@
 import sys
 import threading
 
-from conftest import term_recursion
+from conftest import stored_vectors, term_recursion
 from tlmarkov import ortho as ortho_module
 from tlmarkov.diagrams import RestrictedSequence, enumerate_diagrams
 from tlmarkov.ortho import orthogonal_vector
@@ -50,23 +50,22 @@ def test_cold_vector_memo_yields_one_canonical_value_per_key():
         barrier.wait()
         results[s] = orthogonal_vector(s)
 
-    saved = dict(ortho_module._VECTOR_CACHE)
     interval = sys.getswitchinterval()
-    ortho_module._VECTOR_CACHE.clear()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in sequences]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        built = dict(ortho_module._VECTOR_CACHE)
+    with stored_vectors(clear=True):
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in sequences]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        # every stored vector, as the public API gives it
+        stored = list(ortho_module._VECTOR_CACHE)
+        built = {e: orthogonal_vector(RestrictedSequence(e)) for e in stored}
         again = {s: orthogonal_vector(s) for s in sequences}
-    finally:
-        sys.setswitchinterval(interval)
-        ortho_module._VECTOR_CACHE.clear()
-        ortho_module._VECTOR_CACHE.update(saved)
     assert len(results) == len(sequences)
     memo = {}
     for s in sequences:

@@ -13,6 +13,7 @@ from conftest import (
     coefficients,
     factored_value,
     rational_functions,
+    stored_vectors,
     term_recursion,
 )
 from tlmarkov.diagrams import (
@@ -37,6 +38,7 @@ from tlmarkov.ortho import (
     bareiss_det,
     change_of_basis,
     check_fixture_bases,
+    det_closed_form_check,
     det_oracle_check,
     det_product,
     orthogonal_vector,
@@ -261,23 +263,8 @@ def test_embedding_scales_the_form_by_q(data):
 
 
 def _with_corrupted_vector(sequence, corrupted):
-    """Context: swap a wrong vector into the memo, restore afterwards."""
-    from contextlib import contextmanager
-
-    from tlmarkov import ortho as ortho_module
-
-    @contextmanager
-    def swap():
-        saved = dict(ortho_module._VECTOR_CACHE)
-        ortho_module._VECTOR_CACHE.clear()
-        ortho_module._VECTOR_CACHE[sequence.entries] = corrupted
-        try:
-            yield
-        finally:
-            ortho_module._VECTOR_CACHE.clear()
-            ortho_module._VECTOR_CACHE.update(saved)
-
-    return swap()
+    """Context: swap a wrong vector into the emptied store, restore afterwards."""
+    return stored_vectors({sequence: corrupted}, clear=True)
 
 
 def test_verify_detects_a_corrupted_vector():
@@ -450,17 +437,14 @@ def test_orthogonality_and_diagonal_match_the_full_expansion(data):
     for _ in range(data.draw(st.integers(0, 2))):
         half[data.draw(pick)][data.draw(pick)] = data.draw(value)
     want_ortho, want_diag = _literal_entries(basis, rows, half)
-    saved = dict(ortho_module._VECTOR_CACHE)
-    # every vector stays stored, so none is rebuilt from a corrupted one
-    ortho_module._VECTOR_CACHE.update({s.entries: vec for s, vec in zip(basis, rows)})
     true_half_pairings = ortho_module._half_pairings
     ortho_module._half_pairings = lambda k: half if k == n else true_half_pairings(k)
     try:
-        checks = {c.name: c for c in verify_orthogonality(n).checks}
+        # every vector stays stored, so none is rebuilt from a corrupted one
+        with stored_vectors(zip(basis, rows)):
+            checks = {c.name: c for c in verify_orthogonality(n).checks}
     finally:
         ortho_module._half_pairings = true_half_pairings
-        ortho_module._VECTOR_CACHE.clear()
-        ortho_module._VECTOR_CACHE.update(saved)
     assert checks["orthogonality"].passed == (not want_ortho)
     if want_ortho:
         assert checks["orthogonality"].details == want_ortho
@@ -515,17 +499,12 @@ def test_verify_reports_a_coefficient_outside_the_factor_base():
     """A stored coefficient 1/(q^2 + 1), whose denominator is no product of
     Delta_j, fails check (ii) for its own vector and for the vectors whose
     recursion reads it; the report says so, and nothing raises."""
-    from tlmarkov import ortho as ortho_module
-
     s = seq("2,1")
     change_of_basis(3)  # every vector to size 3 is stored, so none is rebuilt
-    memo = ortho_module._VECTOR_CACHE
-    saved = memo[s.entries]
-    memo[s.entries] = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((1,), (1, 0, 1))})
-    try:
+    saved = orthogonal_vector(s)
+    wrong = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((1,), (1, 0, 1))})
+    with stored_vectors({s: wrong}):
         report = verify_orthogonality(3)
-    finally:
-        memo[s.entries] = saved
     check = next(c for c in report.checks if c.name == "half-pairing")
     assert not check.passed
     assert check.details.startswith("e'_2,1 has 1/(q^2 + 1) != -1/q on e_1,1 by l_2(e'_1) - ")
@@ -570,13 +549,10 @@ def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch)
 
     monkeypatch.setattr(ortho_module, "_combined", combined)
     monkeypatch.setattr(_Factored, "times", times)
-    saved = dict(ortho_module._VECTOR_CACHE)
-    ortho_module._VECTOR_CACHE.clear()
     try:
-        assert verify_orthogonality(n).passed
+        with stored_vectors(clear=True):
+            assert verify_orthogonality(n).passed
     finally:
-        ortho_module._VECTOR_CACHE.clear()
-        ortho_module._VECTOR_CACHE.update(saved)
         monkeypatch.undo()
     assert set(triples) == {"_build_level", "_recursion_mismatches", "_half_pairings"}
     for caller, found in triples.items():
@@ -601,7 +577,14 @@ def test_memos_clear_and_rebuild_the_same_vectors():
     before = {s: orthogonal_vector(s) for s in enumerate_diagrams(4)}
     assert verify_orthogonality(4).passed
     sizes = _memo_sizes()
-    assert set(sizes) == {"vectors", "levels", "to_factored", "from_factored"}
+    assert set(sizes) == {
+        "vectors",
+        "wrapped",
+        "levels",
+        "to_factored",
+        "from_factored",
+        "psi_products",
+    }
     assert all(sizes.values())
     _clear_memos()
     assert _memo_sizes() == dict.fromkeys(sizes, 0)
@@ -609,6 +592,69 @@ def test_memos_clear_and_rebuild_the_same_vectors():
     assert after == before
     assert all(after[s] is not before[s] for s in after)
     assert verify_orthogonality(4).passed
+
+
+def test_clear_memos_empties_the_store_and_its_edge_memos():
+    from tlmarkov import ortho as ortho_module
+    from tlmarkov import qpoly
+
+    change_of_basis(4)
+    orthogonal_vector(seq("2,1,1,1"))
+    assert ortho_module._VECTOR_CACHE and ortho_module._WRAPPED and qpoly._PSI_PRODUCTS
+    ortho_module._clear_memos()
+    assert not ortho_module._VECTOR_CACHE
+    assert not ortho_module._WRAPPED
+    assert not qpoly._PSI_PRODUCTS
+
+
+def test_a_written_vector_reads_back_through_the_public_api():
+    """A vector written through the store's entry point, with a coefficient
+    outside the factor base, reads back equal and in its term order; the
+    store is restored afterwards."""
+    s = seq("2,1,1")
+    true = orthogonal_vector(s)
+    written = DiagramVector(
+        3,
+        {
+            **true.coeffs,
+            seq("2,2,1"): rf((1,), (1, 0, 1)),  # 1/(q^2 + 1), outside the base
+            seq("1,1,1"): rf((3, 1), (0, -2, 0, 1)),  # (q + 3)/Delta_3
+        },
+    )
+    with stored_vectors({s: written}):
+        got = orthogonal_vector(s)
+        assert got == written
+        assert list(got.coeffs) == list(written.coeffs)
+        assert orthogonal_vector(s) is got
+    assert orthogonal_vector(s) == true
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_change_of_basis_matches_the_term_recursion(n):
+    basis = enumerate_diagrams(n)
+    memo = {}
+    rows = tuple(
+        tuple(term_recursion(a, memo).coeffs.get(t, RF_ZERO) for t in basis) for a in basis
+    )
+    assert change_of_basis(n).P.entries == rows
+
+
+def test_building_and_stacking_the_vectors_make_no_diagram_vector(monkeypatch):
+    """The builder and change_of_basis read and write the store only; a
+    DiagramVector is made only when orthogonal_vector is asked."""
+    made = []
+    true_post_init = DiagramVector.__post_init__
+
+    def post_init(self):
+        made.append(self.size)
+        true_post_init(self)
+
+    monkeypatch.setattr(DiagramVector, "__post_init__", post_init)
+    with stored_vectors(clear=True):
+        change_of_basis(5)
+        assert made == []
+        orthogonal_vector(seq("2,1,1"))
+        assert made == [3]
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -642,21 +688,14 @@ def test_level_tables_match_the_sequence_route(k):
 def test_each_size_builds_its_tables_once():
     """Building the vectors reads only the lift tables; the verifier adds the
     contraction tables, and nothing rebuilds a size."""
-    from tlmarkov import ortho as ortho_module
-
-    saved = dict(ortho_module._VECTOR_CACHE)
-    ortho_module._VECTOR_CACHE.clear()
-    _level.cache_clear()
-    try:
+    with stored_vectors(clear=True):
+        _level.cache_clear()
         change_of_basis(4)
         assert _level.cache_info().misses == 5
         assert not any("contract" in vars(_level(k)) for k in range(5))
         assert verify_orthogonality(4).passed
         assert _level.cache_info().misses == 5
         assert all("contract" in vars(_level(k)) for k in range(1, 5))
-    finally:
-        ortho_module._VECTOR_CACHE.clear()
-        ortho_module._VECTOR_CACHE.update(saved)
 
 
 def test_change_of_basis_raises_on_broken_unitriangularity():
@@ -859,6 +898,31 @@ def test_det_product_matches_the_meander_closed_form(n):
         for j, a in enumerate(exponents, start=1):
             expanded = expanded * chebyshev(j) ** a
         assert det_product(n).num == expanded
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_det_closed_form_check_passes(n):
+    check = det_closed_form_check(n)
+    assert check.name == "det-closed-form"
+    assert check.passed, check.details
+    assert check.details.endswith(f"on each of {len(_delta_exponents(n))} Psi_d")
+
+
+def test_det_closed_form_check_reports_a_wrong_exponent(monkeypatch):
+    from tlmarkov import ortho as ortho_module
+
+    true_exponents = ortho_module._det_exponents
+    want = true_exponents(4)[0]  # position 0 holds Psi_4 = q = Delta_1
+
+    def tampered(n):
+        exponents = true_exponents(n)
+        exponents[0] += 1
+        return exponents
+
+    monkeypatch.setattr(ortho_module, "_det_exponents", tampered)
+    check = det_closed_form_check(4)
+    assert not check.passed
+    assert check.details == f"Psi_4: product {want + 1} != closed form {want}"
 
 
 @pytest.mark.parametrize("n", range(1, 5))

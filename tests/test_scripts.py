@@ -30,3 +30,25 @@ def test_run_verification_sweeps_the_determinant_oracle():
     ]
     assert len(oracle_lines) == 3, result.stdout
     assert all(line.rstrip().endswith("ok") for line in oracle_lines), result.stdout
+
+
+def test_run_verification_checks_the_closed_form_at_every_size():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "run_verification.py"),
+            "--max-n",
+            "4",
+            "--skip-fixtures",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = [line for line in result.stdout.splitlines() if "det-closed-form=" in line]
+    assert len(lines) == 4, result.stdout
+    assert all(line.rstrip().endswith("ok") for line in lines), result.stdout
+    assert "det-oracle=" not in result.stdout
