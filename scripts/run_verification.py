@@ -3,7 +3,7 @@
 
 Prints one row per size with check timings, the meander closed form of the
 determinant, plus the fixture checks at n = 3 and (optionally) the
-fraction-free determinant oracle.  Exit status is
+modular determinant oracle.  Exit status is
 nonzero if any check fails, which makes the script usable as a long-form
 smoke test:
 

@@ -18,7 +18,6 @@ operator identities, exercised by the property suite:
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,7 +169,10 @@ def _json_rows(rows: Iterable[Iterable[RationalFunction]]) -> list[list[dict]]:
         for e in row:
             seen = by_id.get(id(e))
             if seen is None:
-                seen = by_id[id(e)] = (e, by_value.setdefault(e, e.to_json()))
+                d = by_value.get(e)
+                if d is None:
+                    d = by_value[e] = e.to_json()
+                seen = by_id[id(e)] = (e, d)
             json_row.append(seen[1])
         out.append(json_row)
     return out
@@ -217,6 +219,8 @@ class SquareMatrix:
 
     def to_csv(self) -> str:
         """Rows of rendered entries, labeled by the basis sequences."""
+        import csv  # here, so that commands which never render CSV do not load it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + [str(s) for s in self.basis])

@@ -69,12 +69,16 @@ passing, no pair shares a term, and any pair that does is found from those
 and gets its literal entry.  The predicted diagonal is one exponent vector
 over the Psi_d, turned into a reduced quotient with no gcd.
 
-:func:`bareiss_det` provides the independent fraction-free determinant
-oracle, and :func:`det_product` the predicted product form; their exact
-agreement cross-checks the diagonalization against the Gram determinant.
-Every loop count satisfies c(a, b) = c(a, 0) + c(0, b) + c(0, 0) (mod 2), so
+:func:`bareiss_det` provides the independent determinant oracle, and
+:func:`det_product` the predicted product form; their exact agreement
+cross-checks the diagonalization against the Gram determinant.  Every loop
+count satisfies c(a, b) = c(a, 0) + c(0, b) + c(0, 0) (mod 2), so
 G(q) = diag(q^rho) B(q^2) diag(q^sigma); the oracle finds this split by
-testing every entry and eliminates over y = q^2, at half the degree.
+testing every entry and works over y = q^2, at half the degree.  It
+eliminates at integer points modulo one Mersenne prime above twice the
+Goldstein-Graham bound on the coefficients of det B, interpolates modulo
+the prime and lifts to balanced residues; a lifted coefficient beyond the
+bound is an internal error.
 """
 
 from __future__ import annotations
@@ -924,20 +928,28 @@ def verify_orthogonality(n: int) -> VerificationReport:
 
 
 def bareiss_det(matrix) -> Polynomial:
-    """Exact determinant of a polynomial matrix by fraction-free elimination.
+    """Exact determinant of a polynomial matrix by elimination modulo one
+    Mersenne prime.
 
     Accepts a :class:`SquareMatrix` whose entries are polynomials (denominator
     1) or a raw square sequence of :class:`Polynomial` rows.  Each row is
     scaled to integer coefficients by the lcm of its denominators, and the
     matrix is reduced to det = q^shift * det B(q^step) before anything is
     evaluated (:func:`_reduce_powers`); step is 2 when the exponents split
-    into row and column parities.  The degree of det B is at most D, the sum
-    over rows of the largest entry degree, so B is evaluated at D + 1
-    integers centred on 0, each value matrix is reduced by Bareiss
-    elimination on plain integers, and the values are interpolated exactly,
-    unscaled and spread over the powers q^(shift + step * i).  Every division
-    of the elimination is exact; an inexact one raises
-    :class:`InternalCheckError`.
+    into row and column parities.  By the Goldstein-Graham bound every
+    coefficient c of det B has c^2 <= prod_a sum_b |B_ab|_1^2, where
+    |B_ab|_1 is the sum of the absolute coefficients of the entry, and the
+    degree of det B is at most D, the sum over rows of the largest entry
+    degree.  So det B is determined by its residues modulo the least
+    Mersenne prime P = 2^p - 1 of a fixed table with P > 2 * bound and
+    P > D: B is evaluated at y = 0..D mod P, each value matrix is reduced by
+    Gaussian elimination mod P (:func:`_det_mod`), the values are
+    interpolated mod P (:func:`_interpolate_mod`) and lifted to balanced
+    residues, unscaled and spread over the powers q^(shift + step * i).  A
+    lifted coefficient beyond the bound raises :class:`InternalCheckError`;
+    a bound beyond the table raises :class:`ValueError`.  On a 2-vCPU VM the
+    Gram matrix of size 5 (a 114-bit bound, P = 2^127 - 1) takes about
+    0.25 s and that of size 6 (465 bits, P = 2^521 - 1) about 19 s.
     """
     rows = _polynomial_rows(matrix)
     if not rows:
@@ -953,15 +965,51 @@ def bareiss_det(matrix) -> Polynomial:
         return ZERO
     int_rows, shift, step = reduced
     degree = sum(max(len(cs) for cs in row) - 1 for row in int_rows)
-    low = -(degree // 2)
-    points = range(low, low + degree + 1)
-    values = [
-        _integer_det([[_horner(cs, y) for cs in row] for row in int_rows])
-        for y in points
+    bound_sq = math.prod(
+        sum(sum(map(abs, cs)) ** 2 for cs in row) for row in int_rows
+    )
+    prime = _mersenne_prime(bound_sq, degree)
+    # each distinct entry is evaluated once per point
+    distinct: dict[tuple, int] = {}
+    index_rows = [
+        [distinct.setdefault(tuple(cs), len(distinct)) for cs in row] for row in int_rows
     ]
-    coeffs = [Fraction(0)] * (shift + step * degree + 1)
-    coeffs[shift::step] = [c / scale for c in _interpolate(points, values)]
+    entries = list(distinct)
+    values = []
+    for y in range(degree + 1):
+        at_y = [_horner(cs, y) % prime for cs in entries]
+        values.append(_det_mod([[at_y[i] for i in row] for row in index_rows], prime))
+    half = prime // 2
+    coeffs = [0] * (shift + step * degree + 1)
+    lifted = []
+    for c in _interpolate_mod(values, prime):
+        c = c - prime if c > half else c
+        if c * c > bound_sq:
+            raise InternalCheckError(
+                "modular determinant coefficient exceeds the Goldstein-Graham bound"
+            )
+        lifted.append(Fraction(c, scale))
+    coeffs[shift::step] = lifted
     return Polynomial(tuple(coeffs))
+
+
+# Exponents p of Mersenne primes 2^p - 1; the oracle takes the least that
+# clears its coefficient bound (114 bits at n = 5 selects 127).
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+def _mersenne_prime(bound_sq: int, degree: int) -> int:
+    """The least tabulated Mersenne prime P with P^2 > 4 * bound_sq, so the
+    balanced residues mod P cover every integer of square at most bound_sq,
+    and P > degree, so the points 0..degree are distinct mod P."""
+    for p in _MERSENNE_EXPONENTS:
+        prime = (1 << p) - 1
+        if prime * prime > 4 * bound_sq and prime > degree:
+            return prime
+    raise ValueError(
+        f"determinant coefficient bound of {(bound_sq.bit_length() + 1) // 2} bits "
+        f"exceeds the largest tabulated Mersenne prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+    )
 
 
 def _reduce_powers(
@@ -1065,46 +1113,50 @@ def _polynomial_rows(matrix) -> list[list[Polynomial]]:
     return rows
 
 
-def _integer_det(rows: list[list[int]]) -> int:
-    """Bareiss elimination on an integer matrix, one column per step."""
-    sign, previous = 1, 1
-    while len(rows) > 1:
-        k = next((r for r, row in enumerate(rows) if row[0]), None)
+def _det_mod(rows: list[list[int]], prime: int) -> int:
+    """Determinant mod prime of a matrix of residues, by Gaussian
+    elimination with a pivot search, one column per step."""
+    # each row reversed, so the column eliminated next is popped off its end
+    rows = [row[::-1] for row in rows]
+    det = 1
+    while rows:
+        k = next((r for r, row in enumerate(rows) if row[-1]), None)
         if k is None:
             return 0
         if k:
             rows[0], rows[k] = rows[k], rows[0]
-            sign = -sign
-        pivot, *top = rows[0]
-        reduced = []
-        for lead, *rest in rows[1:]:
-            row = []
-            for a, b in zip(rest, top):
-                quotient, remainder = divmod(pivot * a - lead * b, previous)
-                if remainder:
-                    raise InternalCheckError(
-                        "fraction-free elimination hit an inexact division"
-                    )
-                row.append(quotient)
-            reduced.append(row)
-        rows, previous = reduced, pivot
-    return sign * rows[0][0]
+            det = -det
+        top = rows[0]
+        pivot = top.pop()
+        det = det * pivot % prime
+        inverse = pow(pivot, -1, prime)
+        rows = rows[1:]
+        for i, row in enumerate(rows):
+            lead = row.pop()
+            if lead:
+                f = lead * inverse % prime
+                rows[i] = [(a - f * b) % prime for a, b in zip(row, top)]
+    return det
 
 
-def _interpolate(points: Sequence[int], values: list[int]) -> list[Fraction]:
-    """Ascending coefficients of the polynomial of degree < len(points)
-    through the values, by Newton divided differences."""
-    coef = [Fraction(v) for v in values]
-    for k in range(1, len(points)):
-        for i in range(len(points) - 1, k - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - k])
-    poly: list[Fraction] = []
-    for c, x in zip(reversed(coef), reversed(points)):
-        # poly <- poly * (q - x) + c
-        shifted = [Fraction(0)] + poly
+def _interpolate_mod(values: list[int], prime: int) -> list[int]:
+    """Ascending coefficients mod prime of the polynomial of degree
+    < len(values) through the values at 0, 1, ..., by Newton divided
+    differences; the points k apart differ by k, so dividing by k is a
+    multiplication by its inverse."""
+    count = len(values)
+    coef = list(values)
+    for k in range(1, count):
+        inverse = pow(k, -1, prime)
+        for i in range(count - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inverse % prime
+    poly: list[int] = []
+    for x in range(count - 1, -1, -1):
+        # poly <- poly * (y - x) + coef[x]
+        shifted = [0] + poly
         for i, p in enumerate(poly):
-            shifted[i] -= x * p
-        shifted[0] += c
+            shifted[i] = (shifted[i] - x * p) % prime
+        shifted[0] = (shifted[0] + coef[x]) % prime
         poly = shifted
     return poly
 
@@ -1131,8 +1183,8 @@ def _det_exponents(n: int) -> list[int]:
 
 
 def det_oracle_check(n: int) -> CheckResult:
-    """Compare the fraction-free determinant of the Gram matrix with the
-    product of predicted diagonal entries."""
+    """Compare the modular determinant of the Gram matrix with the product
+    of predicted diagonal entries."""
     start = time.perf_counter()
     direct = bareiss_det(gram(n))
     product = det_product(n)

@@ -172,7 +172,7 @@ def test_criterion_5_determinant_corroboration(capsys):
     with capsys.disabled():
         report(
             5,
-            "fraction-free determinant equals diagonal product for n=1..5",
+            "modular determinant equals diagonal product for n=1..5",
             elapsed,
             ok,
         )

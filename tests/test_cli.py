@@ -3,6 +3,9 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -17,6 +20,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_does_not_load_csv():
+    # only `--format csv` renders through the csv module; every other command
+    # leaves it unloaded, which keeps it out of their resident size
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, tlmarkov.cli; print('csv' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False", result.stderr
 
 
 def test_pair_known_value(capsys):

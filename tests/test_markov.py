@@ -16,6 +16,7 @@ from tlmarkov.markov import (
     DiagramVector,
     PairingValue,
     SquareMatrix,
+    _json_rows,
     gram,
     gram_exponents,
     pair_diagrams,
@@ -228,6 +229,24 @@ def test_gram_json_shares_one_dict_per_value(n):
         (e for row in g.entries for e in row),
         (d for row in g.to_json()["entries"] for d in row),
     )
+
+
+def test_json_rows_serialise_each_distinct_value_once(monkeypatch):
+    # equal values held by distinct objects share one to_json() call
+    calls = []
+    to_json = RationalFunction.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(RationalFunction, "to_json", counted)
+    values = [RationalFunction(Polynomial((k, 1)), Polynomial((1,))) for k in range(3)]
+    copies = [RationalFunction(Polynomial((k, 1)), Polynomial((1,))) for k in range(3)]
+    rows = [values, copies, [copies[2], values[0], RF_ONE]]
+    dicts = _json_rows(rows)
+    assert len(calls) == len(set(calls)) == 4
+    assert_one_dict_per_value((e for row in rows for e in row), (d for row in dicts for d in row))
 
 
 def test_gram_json_round_trip():

@@ -27,11 +27,14 @@ from tlmarkov.diagrams import (
 )
 from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
 from tlmarkov.ortho import (
+    _MERSENNE_EXPONENTS,
     TRIVALENT_FIXTURES,
+    InternalCheckError,
     _det_exponents,
     _downset_size,
     _half_pairings,
     _level,
+    _mersenne_prime,
     _outside_downset,
     _packed,
     _reduce_powers,
@@ -760,6 +763,11 @@ def cofactor_determinant(rows):
     return total
 
 
+def wide_coefficients():
+    # up to 150 bits: a single such entry needs the prime 2^521 - 1
+    return st.one_of(coefficients(3), st.integers(-(2**150), 2**150))
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_bareiss_matches_cofactor_expansion(data):
@@ -769,7 +777,7 @@ def test_bareiss_matches_cofactor_expansion(data):
             Polynomial(
                 tuple(
                     data.draw(
-                        st.lists(coefficients(3), min_size=0, max_size=3)
+                        st.lists(wide_coefficients(), min_size=0, max_size=3)
                     )
                 )
             )
@@ -804,7 +812,7 @@ def test_bareiss_on_the_q_squared_path(data):
     rho = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
     sigma = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
     ys = [
-        [data.draw(st.lists(coefficients(3), max_size=3)) for _ in range(size)]
+        [data.draw(st.lists(wide_coefficients(), max_size=3)) for _ in range(size)]
         for _ in range(size)
     ]
     zero_row = data.draw(st.none() | st.integers(0, size - 1))
@@ -849,6 +857,80 @@ def test_gram_matrices_take_the_q_squared_path(n, degree):
     rows, _, step = _reduce_powers([[list(e.num.coeffs) for e in row] for row in entries])
     assert step == 2
     assert sum(max(len(cs) for cs in row) - 1 for row in rows) == degree
+
+
+def test_mersenne_table_holds_primes():
+    # Lucas-Lehmer: 2^p - 1 (p an odd prime) is prime iff s_(p-2) = 0 mod it,
+    # where s_0 = 4 and s_(k+1) = s_k^2 - 2
+    assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+    for p in _MERSENNE_EXPONENTS:
+        assert p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        prime, s = (1 << p) - 1, 4
+        for _ in range(p - 2):
+            s = (s * s - 2) % prime
+        assert s == 0, p
+
+
+@pytest.mark.parametrize(
+    "bound_bits, degree, exponent",
+    [(0, 0, 61), (59, 0, 61), (60, 0, 89), (125, 0, 127), (126, 0, 521), (0, 2**61, 89)],
+)
+def test_least_mersenne_prime_above_the_bound(bound_bits, degree, exponent):
+    # P must exceed twice a bound of 2^bound_bits, and the degree
+    bound_sq = (1 << bound_bits) ** 2
+    assert _mersenne_prime(bound_sq, degree) == (1 << exponent) - 1
+
+
+def test_bareiss_lifts_through_the_521_bit_prime(monkeypatch):
+    from tlmarkov import ortho as ortho_module
+
+    primes = []
+    det_mod = ortho_module._det_mod
+
+    def spy(rows, prime):
+        primes.append(prime)
+        return det_mod(rows, prime)
+
+    monkeypatch.setattr(ortho_module, "_det_mod", spy)
+    big = Polynomial((2**100, -(2**99), 3))
+    rows = [[big, Polynomial((-1, 2**100))], [Polynomial((2**100 + 1,)), big]]
+    assert bareiss_det(rows) == cofactor_determinant(rows)
+    assert set(primes) == {2**521 - 1}
+
+
+def test_bareiss_lift_guard_catches_tampered_residues(monkeypatch):
+    from tlmarkov import ortho as ortho_module
+
+    interpolate = ortho_module._interpolate_mod
+
+    def tampered(values, prime):
+        coeffs = interpolate(values, prime)
+        coeffs[1] = (coeffs[1] + prime // 2) % prime
+        return coeffs
+
+    monkeypatch.setattr(ortho_module, "_interpolate_mod", tampered)
+    with pytest.raises(InternalCheckError, match="Goldstein-Graham bound"):
+        bareiss_det(gram(3))
+    monkeypatch.undo()
+
+    # one wrong value at one point spreads residues far beyond the bound
+    det_mod, calls = ortho_module._det_mod, []
+
+    def wrong_at_first_point(rows, prime):
+        calls.append(prime)
+        return (det_mod(rows, prime) + (len(calls) == 1)) % prime
+
+    monkeypatch.setattr(ortho_module, "_det_mod", wrong_at_first_point)
+    with pytest.raises(InternalCheckError, match="Goldstein-Graham bound"):
+        bareiss_det(gram(3))
+
+
+def test_bareiss_bound_beyond_the_prime_table():
+    huge = Polynomial((2**4500,))
+    with pytest.raises(ValueError, match=r"4501 bits exceeds .* 2\^4423 - 1"):
+        bareiss_det([[huge]])
+    # just inside the table: 2^4421 needs P > 2^4422, and 2^4423 - 1 is
+    assert bareiss_det([[Polynomial((2**4421,))]]) == Polynomial((2**4421,))
 
 
 def test_bareiss_input_validation():
