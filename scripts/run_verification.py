@@ -30,7 +30,7 @@ def main() -> int:
         "--det-oracle-max-n",
         type=int,
         default=0,
-        help="also run the Bareiss determinant oracle up to this size",
+        help="also run the modular determinant oracle up to this size",
     )
     parser.add_argument("--skip-fixtures", action="store_true")
     args = parser.parse_args()

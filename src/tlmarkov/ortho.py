@@ -108,7 +108,6 @@ from .qpoly import (
     _FROM_FACTORED,
     _PSI_POSITION,
     _PSI_PRODUCTS,
-    _TO_FACTORED,
     ONE,
     RF_ONE,
     RF_ZERO,
@@ -153,16 +152,11 @@ class InternalCheckError(RuntimeError):
 
 class _Stored(NamedTuple):
     """One orthogonal vector: the diagram indices of its terms, in term
-    order, and the parallel coefficients, shared ``_Factored`` objects.
-
-    ``outside`` marks a vector written by :func:`_store_vector` with a
-    coefficient whose denominator did not factor over the base as grown
-    then; that coefficient is kept as its :class:`RationalFunction`.
-    """
+    order, and the parallel coefficients, shared ``_Factored`` objects.  The
+    builder and :func:`_store_vector` write no other value."""
 
     indices: array
     values: tuple
-    outside: bool
 
 
 _VECTOR_LOCK = threading.RLock()
@@ -190,7 +184,7 @@ def orthogonal_vector(s: RestrictedSequence) -> DiagramVector:
         if vec is None:
             stored = _stored(s)
             terms = map(_level(s.size).basis.__getitem__, stored.indices)
-            vec = DiagramVector(s.size, dict(zip(terms, map(_rational, stored.values))))
+            vec = DiagramVector(s.size, dict(zip(terms, map(_from_factored, stored.values))))
             _WRAPPED[s.entries] = vec
         return vec
 
@@ -209,35 +203,35 @@ def _stored(s: RestrictedSequence) -> _Stored:
 
 
 def _store_vector(s: RestrictedSequence, vec: DiagramVector) -> None:
-    """Write vec into the store as e'_s, replacing what is there.
+    """Write vec into the store as e'_s, replacing what is there; the
+    vectors built later in the level of s are built from it.
 
-    Each coefficient is translated to the factor base; one outside it is
-    kept as it is and marks the entry.  The vectors built later in the level
-    of s are built from it.
+    The factor base is grown through Delta_{s.size} and each coefficient is
+    translated to it.  A vector of another size than s, or a coefficient
+    whose denominator does not factor over the base, raises ValueError and
+    leaves the store as it was.
     """
-    index = _level(vec.size).index
-    values = tuple(_to_factored(value) or value for value in vec.coeffs.values())
-    outside = not all(isinstance(value, _Factored) for value in values)
-    stored = _Stored(array("I", map(index.__getitem__, vec.coeffs)), values, outside)
+    if vec.size != s.size:
+        raise ValueError(f"a vector of size {vec.size} cannot be stored as e'_{s}")
+    _delta_exponents(s.size)
+    values = []
+    for key, value in vec.coeffs.items():
+        factored = _to_factored(value)
+        if factored is None:
+            raise ValueError(
+                f"coefficient {value} of e_{key} in e'_{s} has a denominator "
+                "outside the Chebyshev factor base"
+            )
+        values.append(factored)
+    index = _level(s.size).index
+    stored = _Stored(array("I", map(index.__getitem__, vec.coeffs)), tuple(values))
     with _VECTOR_LOCK:
         _VECTOR_CACHE[s.entries] = stored
         _WRAPPED.pop(s.entries, None)
 
 
-def _rational(value: _Factored | RationalFunction) -> RationalFunction:
-    """A stored coefficient as a RationalFunction."""
-    return _from_factored(value) if isinstance(value, _Factored) else value
-
-
-def _over_base(stored: _Stored) -> tuple[_Factored | None, ...]:
-    """The stored coefficients over the factor base as grown so far; None
-    for one whose denominator does not factor over it."""
-    if not stored.outside:
-        return stored.values
-    return tuple(v if isinstance(v, _Factored) else _to_factored(v) for v in stored.values)
-
-
-_EMPTY = _Stored(array("I", [0]), (_F_ONE,), False)  # e'_() = e_()
+# index 0 with coefficient 1: e'_() = e_() and e'_(1) = e_(1)
+_UNIT = _Stored(array("I", [0]), (_F_ONE,))
 
 
 def _build_level(k: int) -> None:
@@ -249,20 +243,17 @@ def _build_level(k: int) -> None:
     over the factor base once per distinct (h, lifted, previous) triple.  The
     columns go into the store as they are; no RationalFunction is made.  The
     empty diagram's e'_() is e_().  A vector already in the store is kept,
-    and the vectors built after it in the level are built from it; a
-    coefficient of such a vector outside the factor base raises
-    :class:`InternalCheckError`.
+    and the vectors built after it in the level are built from it.
     """
     below, level = _level(k - 1), _level(k)
     _delta_exponents(k)  # the factor base holds every Psi_d of Delta_1..Delta_k
     # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
     for t in below.basis:
-        tail = _stored(t) if t.size else _EMPTY
-        values = _base_values(tail, below.basis)
+        tail = _stored(t) if t.size else _UNIT
         previous: Mapping[int, _Factored] = {}
         for h in _heads(t):
-            column = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), values))
+            column = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
             # previous is empty for h = 1
             for key, value in previous.items():
                 entry = _combined(combined, h, column.get(key, _F_ZERO), value)
@@ -270,23 +261,11 @@ def _build_level(k: int) -> None:
                     column[key] = entry
                 else:
                     column.pop(key, None)
-            stored = _Stored(array("I", column), tuple(column.values()), False)
+            stored = _Stored(array("I", column), tuple(column.values()))
             kept = _VECTOR_CACHE.setdefault(t.entries + (h,), stored)
             if kept is not stored:
-                column = dict(zip(kept.indices, _base_values(kept, level.basis)))
+                column = dict(zip(kept.indices, kept.values))
             previous = column
-
-
-def _base_values(stored: _Stored, basis: Sequence[RestrictedSequence]) -> tuple[_Factored, ...]:
-    """The stored coefficients over the factor base, for the builder."""
-    values = _over_base(stored)
-    if stored.outside and None in values:
-        i = values.index(None)
-        raise InternalCheckError(
-            f"coefficient {stored.values[i]} of e_{basis[stored.indices[i]]} has a "
-            "denominator outside the Chebyshev factor base"
-        )
-    return values
 
 
 def _memo_sizes() -> dict[str, int]:
@@ -295,7 +274,6 @@ def _memo_sizes() -> dict[str, int]:
         "vectors": len(_VECTOR_CACHE),
         "wrapped": len(_WRAPPED),
         "levels": _level.cache_info().currsize,
-        "to_factored": len(_TO_FACTORED),
         "from_factored": len(_FROM_FACTORED),
         "psi_products": len(_PSI_PRODUCTS),
     }
@@ -303,7 +281,7 @@ def _memo_sizes() -> dict[str, int]:
 
 def _clear_memos() -> None:
     """Drop the vector store and its wrappers, the level tables, the
-    factor-base translations and the Psi products.
+    RationalFunctions of the factor-base values and the Psi products.
 
     The factor base itself stays, so its positions stay stable.
     """
@@ -311,7 +289,6 @@ def _clear_memos() -> None:
         _VECTOR_CACHE.clear()
         _WRAPPED.clear()
         _level.cache_clear()
-        _TO_FACTORED.clear()
         _FROM_FACTORED.clear()
         _PSI_PRODUCTS.clear()
 
@@ -389,7 +366,7 @@ def change_of_basis(n: int) -> OrthoBasis:
         for i, value in zip(stored.indices, stored.values):
             seen = converted.get(id(value))
             if seen is None:
-                seen = converted[id(value)] = (value, _rational(value))
+                seen = converted[id(value)] = (value, _from_factored(value))
             row[i] = seen[1]
         if row[a] != RF_ONE:
             raise InternalCheckError(f"coefficient of {s} in e'_{s} is not 1")
@@ -680,9 +657,8 @@ def _recursion_mismatches(n: int) -> list[str]:
     The recursion is evaluated over the factor base, keyed by diagram index
     as the store is, with its own memo of combined triples, and compared
     with the stored vector as a whole; only a vector that differs is
-    compared term by term, in basis order, for the report.  A stored
-    coefficient outside the base is a mismatch, and so is every coefficient
-    whose recursion reads one.
+    compared term by term, in basis order, for the report, and the stored
+    e'_(1) is wrapped only when it is not e_(1).
     """
     bad = []
     _delta_exponents(n)  # the factor base holds every Psi_d of Delta_1..Delta_n
@@ -690,7 +666,7 @@ def _recursion_mismatches(n: int) -> list[str]:
     # (h, lifted, previous) triples
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
     first = RestrictedSequence((1,))
-    if orthogonal_vector(first) != DiagramVector.basis_vector(first):
+    if _stored(first) != _UNIT:
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
     for k in range(2, n + 1):
         below, level = _level(k - 1), _level(k)
@@ -698,48 +674,35 @@ def _recursion_mismatches(n: int) -> list[str]:
         a_idx = 0
         for t in below.basis:
             tail = _stored(t)
-            tail_values = _over_base(tail)
-            tail_outside = tail.outside and None in tail_values
-            previous: dict[int, _Factored | None] = {}
-            previous_outside = False
+            previous: dict[int, _Factored] = {}
             for h in _heads(t):
                 a = level.basis[a_idx]
                 a_idx += 1
                 stored = _stored(a)
-                got = dict(zip(stored.indices, _over_base(stored)))
+                got = dict(zip(stored.indices, stored.values))
                 lift = level.lift[h - 1]
-                lifted = dict(zip(map(lift.__getitem__, tail.indices), tail_values))
-                outside = tail_outside or previous_outside
-                if not outside:
-                    want = dict(lifted)
-                    for key, value in previous.items():
-                        entry = _combined(combined, h, want.get(key, _F_ZERO), value)
-                        if entry.num:
-                            want[key] = entry
-                        else:
-                            want.pop(key, None)
-                if outside or want != got:
+                lifted = dict(zip(map(lift.__getitem__, tail.indices), tail.values))
+                want = dict(lifted)
+                for key, value in previous.items():
+                    entry = _combined(combined, h, want.get(key, _F_ZERO), value)
+                    if entry.num:
+                        want[key] = entry
+                    else:
+                        want.pop(key, None)
+                if want != got:
                     recursion = f"l_{h}(e'_{t})"
                     if h > 1:
                         recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
-                    raw = dict(zip(stored.indices, stored.values))
                     for i in sorted(got.keys() | lifted.keys() | previous.keys()):
-                        key = level.basis[i]
-                        operands = (lifted.get(i, _F_ZERO), previous.get(i, _F_ZERO))
-                        if None in operands:
-                            bad.append(
-                                f"e'_{a} on e_{key}: {recursion} reads a coefficient "
-                                "outside the Chebyshev factor base"
-                            )
-                            continue
-                        value = _combined(combined, h, *operands)
+                        value = _combined(
+                            combined, h, lifted.get(i, _F_ZERO), previous.get(i, _F_ZERO)
+                        )
                         if got.get(i, _F_ZERO) != value:
                             bad.append(
-                                f"e'_{a} has {_rational(raw.get(i, _F_ZERO))} != "
-                                f"{_from_factored(value)} on e_{key} by {recursion}"
+                                f"e'_{a} has {_from_factored(got.get(i, _F_ZERO))} != "
+                                f"{_from_factored(value)} on e_{level.basis[i]} by {recursion}"
                             )
                 previous = got
-                previous_outside = stored.outside and None in got.values()
     return bad
 
 
@@ -757,7 +720,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
     start = time.perf_counter()
     # P[a][a], found by a scan of the row's indices
     p_diagonal = [
-        _rational(row.values[row.indices.index(i)]) if i in row.indices else RF_ZERO
+        _from_factored(row.values[row.indices.index(i)]) if i in row.indices else RF_ZERO
         for i, row in enumerate(rows)
     ]
     failures = [str(basis[i]) for i, p in enumerate(p_diagonal) if p != RF_ONE]
@@ -852,7 +815,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
         coeffs, column = dict(zip(rows[lo].indices, rows[lo].values)), half[hi]
         value = RF_ZERO
         for t in coeffs.keys() & column.keys():
-            value = value + _rational(coeffs[t]) * column[t]
+            value = value + _from_factored(coeffs[t]) * column[t]
         return value
 
     # A term t of e'_lo inside its downset has rank(t) <= rank(lo), and a

@@ -767,37 +767,31 @@ def _psi_power(exps: tuple[int, ...]) -> Polynomial:
     return product
 
 
-# each direction translates a value once; the reverse entry is filled too,
-# so every distinct value has one RationalFunction object
-_TO_FACTORED: dict[RationalFunction, _Factored] = {}
+# each distinct value is converted once, so it has one RationalFunction object
 _FROM_FACTORED: dict[_Factored, RationalFunction] = {}
 
 
 def _to_factored(value: RationalFunction) -> _Factored | None:
     """value over the factor base as grown so far; None when its
     denominator does not factor over it."""
-    factored = _TO_FACTORED.get(value)
-    if factored is None:
-        rest = list(value.den.coeffs)
-        if any(type(c) is not int for c in rest):
-            return None
-        exps = []
-        for psi in list(_PSI):
-            e = 0
-            while len(rest) > 1:
-                quot, rem = _divrem(rest, psi)
-                if rem:
-                    break
-                rest, e = quot, e + 1
-            exps.append(e)
-        if rest != [1]:
-            return None
-        while exps and not exps[-1]:
-            exps.pop()
-        num, den = _clear_denominators(value.num.coeffs)
-        factored = _TO_FACTORED.setdefault(value, _Factored(tuple(num), den, tuple(exps)))
-        _FROM_FACTORED.setdefault(factored, value)
-    return factored
+    rest = list(value.den.coeffs)
+    if any(type(c) is not int for c in rest):
+        return None
+    exps = []
+    for psi in list(_PSI):
+        e = 0
+        while len(rest) > 1:
+            quot, rem = _divrem(rest, psi)
+            if rem:
+                break
+            rest, e = quot, e + 1
+        exps.append(e)
+    if rest != [1]:
+        return None
+    while exps and not exps[-1]:
+        exps.pop()
+    num, den = _clear_denominators(value.num.coeffs)
+    return _Factored(tuple(num), den, tuple(exps))
 
 
 def _from_factored(value: _Factored) -> RationalFunction:
@@ -807,7 +801,6 @@ def _from_factored(value: _Factored) -> RationalFunction:
         num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
         rf = RationalFunction._from_normal(Polynomial(tuple(num)), _psi_power(value.exps))
         rf = _FROM_FACTORED.setdefault(value, rf)
-        _TO_FACTORED.setdefault(rf, value)
     return rf
 
 

@@ -73,7 +73,8 @@ def term_recursion(s, memo):
 def stored_vectors(vectors=(), clear=False):
     """Context: write each (sequence, DiagramVector) pair into the vector
     store through its entry point, after emptying the store if clear, and
-    restore the store and its wrapped vectors afterwards."""
+    restore the store and its wrapped vectors afterwards.  The entry point
+    takes only factor-base coefficients, of the sequence's own size."""
     from tlmarkov import ortho
 
     with ortho._VECTOR_LOCK:

@@ -1,7 +1,11 @@
 """Orthogonal basis construction, exact verification, and the determinant oracle."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -498,32 +502,24 @@ def test_verify_reports_a_missing_recursion_term():
     assert checks["half-pairing"].details.startswith("e'_2,1 has 0 != -1/q on e_1,1 by ")
 
 
-def test_verify_reports_a_coefficient_outside_the_factor_base():
-    """A stored coefficient 1/(q^2 + 1), whose denominator is no product of
-    Delta_j, fails check (ii) for its own vector and for the vectors whose
-    recursion reads it; the report says so, and nothing raises."""
+def test_the_store_rejects_a_value_outside_the_factor_base_and_a_mis_sized_vector():
+    """The store's entry point admits factor-base coefficients of the vector's
+    own size only: a coefficient 1/(q^2 + 1), whose denominator is no product
+    of Delta_j, and a vector of size 3 written as e'_2,1 raise ValueError,
+    and the store keeps the entry it held."""
+    from tlmarkov.ortho import _store_vector, _stored
+
     s = seq("2,1")
-    change_of_basis(3)  # every vector to size 3 is stored, so none is rebuilt
     saved = orthogonal_vector(s)
-    wrong = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((1,), (1, 0, 1))})
-    with stored_vectors({s: wrong}):
-        report = verify_orthogonality(3)
-    check = next(c for c in report.checks if c.name == "half-pairing")
-    assert not check.passed
-    assert check.details.startswith("e'_2,1 has 1/(q^2 + 1) != -1/q on e_1,1 by l_2(e'_1) - ")
-    assert "l_1(e'_2,1) reads a coefficient outside the Chebyshev factor base" in check.details
-    assert verify_orthogonality(3).passed
-
-
-def test_builder_raises_on_a_stored_coefficient_outside_the_factor_base():
-    """The builder reads a stored e'_1,1 with a coefficient 1/(q^2 + 1) as the
-    previous vector of e'_2,1 and stops."""
-    from tlmarkov.ortho import InternalCheckError
-
-    wrong = DiagramVector.from_terms(2, [(seq("1,1"), rf((1,), (1, 0, 1)))])
-    with _with_corrupted_vector(seq("1,1"), wrong):
-        with pytest.raises(InternalCheckError, match="outside the Chebyshev factor base"):
-            orthogonal_vector(seq("2,1"))
+    entry = _stored(s)
+    outside = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((1,), (1, 0, 1))})
+    with pytest.raises(ValueError, match=r"1/\(q\^2 \+ 1\) of e_1,1 in e'_2,1 .* outside"):
+        _store_vector(s, outside)
+    with pytest.raises(ValueError, match="size 3 cannot be stored as e'_2,1"):
+        _store_vector(s, DiagramVector.basis_vector(seq("3,2,1")))
+    assert _stored(s) is entry
+    assert orthogonal_vector(s) is saved
+    assert verify_orthogonality(2).passed
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -584,7 +580,6 @@ def test_memos_clear_and_rebuild_the_same_vectors():
         "vectors",
         "wrapped",
         "levels",
-        "to_factored",
         "from_factored",
         "psi_products",
     }
@@ -612,15 +607,14 @@ def test_clear_memos_empties_the_store_and_its_edge_memos():
 
 def test_a_written_vector_reads_back_through_the_public_api():
     """A vector written through the store's entry point, with a coefficient
-    outside the factor base, reads back equal and in its term order; the
-    store is restored afterwards."""
+    over Delta_3 that no vector has, reads back equal and in its term order;
+    the store is restored afterwards."""
     s = seq("2,1,1")
     true = orthogonal_vector(s)
     written = DiagramVector(
         3,
         {
             **true.coeffs,
-            seq("2,2,1"): rf((1,), (1, 0, 1)),  # 1/(q^2 + 1), outside the base
             seq("1,1,1"): rf((3, 1), (0, -2, 0, 1)),  # (q + 3)/Delta_3
         },
     )
@@ -630,6 +624,27 @@ def test_a_written_vector_reads_back_through_the_public_api():
         assert list(got.coeffs) == list(written.coeffs)
         assert orthogonal_vector(s) is got
     assert orthogonal_vector(s) == true
+
+
+def test_a_fresh_process_writes_a_coefficient_over_delta_of_the_vector_size():
+    """The entry point grows the factor base through Delta_k for a vector of
+    size k, so a process that has built nothing yet can write a coefficient
+    over Delta_3 and read it back."""
+    code = (
+        "from tlmarkov import ortho\n"
+        "from tlmarkov.diagrams import RestrictedSequence\n"
+        "from tlmarkov.markov import DiagramVector\n"
+        "from tlmarkov.qpoly import Polynomial, RationalFunction\n"
+        "s = RestrictedSequence((1, 1, 1))\n"
+        "value = RationalFunction(Polynomial((3, 1)), Polynomial((0, -2, 0, 1)))\n"
+        "ortho._store_vector(s, DiagramVector(3, {s: value}))\n"
+        "assert ortho.orthogonal_vector(s).coeffs == {s: value}\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -643,8 +658,9 @@ def test_change_of_basis_matches_the_term_recursion(n):
 
 
 def test_building_and_stacking_the_vectors_make_no_diagram_vector(monkeypatch):
-    """The builder and change_of_basis read and write the store only; a
-    DiagramVector is made only when orthogonal_vector is asked."""
+    """The builder, change_of_basis and a passing verify_orthogonality read
+    and write the store only; a DiagramVector is made only when
+    orthogonal_vector is asked."""
     made = []
     true_post_init = DiagramVector.__post_init__
 
@@ -655,6 +671,8 @@ def test_building_and_stacking_the_vectors_make_no_diagram_vector(monkeypatch):
     monkeypatch.setattr(DiagramVector, "__post_init__", post_init)
     with stored_vectors(clear=True):
         change_of_basis(5)
+        assert made == []
+        assert verify_orthogonality(4).passed
         assert made == []
         orthogonal_vector(seq("2,1,1"))
         assert made == [3]

@@ -402,12 +402,6 @@ def base_values(max_degree=4):
     )
 
 
-def fresh_to_factored(value):
-    """_to_factored with the memo entry of value dropped first."""
-    qpoly._TO_FACTORED.pop(value, None)
-    return _to_factored(value)
-
-
 def fresh_from_factored(value):
     """_from_factored with the memo entry of value dropped first."""
     qpoly._FROM_FACTORED.pop(value, None)
@@ -417,7 +411,7 @@ def fresh_from_factored(value):
 @given(base_values())
 @settings(max_examples=150)
 def test_factored_round_trip(x):
-    f = fresh_to_factored(x)
+    f = _to_factored(x)
     assert f is not None
     assert_normal_form(f)
     assert factored_value(f) == x
@@ -427,7 +421,7 @@ def test_factored_round_trip(x):
 @given(base_values(), base_values(), base_values())
 @settings(max_examples=100)
 def test_equal_factored_values_are_equal_tuples(x, y, z):
-    a, b, c = (fresh_to_factored(v) for v in (x, y, z))
+    a, b, c = (_to_factored(v) for v in (x, y, z))
     for got, want in (
         (a.times(b), x * y),
         (a.minus(b), x - y),
@@ -438,7 +432,7 @@ def test_equal_factored_values_are_equal_tuples(x, y, z):
     ):
         assert_normal_form(got)
         assert factored_value(got) == want
-        assert got == fresh_to_factored(want)
+        assert got == _to_factored(want)
     assert a.times(c).minus(b.times(c)) == a.minus(b).times(c)
     assert a.minus(a) == _F_ZERO
 
@@ -479,7 +473,7 @@ def factor_values(max_degree=3):
 def test_pruned_trial_division_matches_the_full_one(x, y):
     """times and minus try only the Psi_i that irreducibility lets divide the
     result, and give the tuple of the full trial division."""
-    a, b = fresh_to_factored(x), fresh_to_factored(y)
+    a, b = _to_factored(x), _to_factored(y)
     for left, right in ((a, b), (b, a), (a, a)):
         if not left.num or not right.num:
             continue
