@@ -7,7 +7,7 @@ modular determinant oracle.  Exit status is
 nonzero if any check fails, which makes the script usable as a long-form
 smoke test:
 
-    python scripts/run_verification.py --max-n 6 --det-oracle-max-n 5
+    python scripts/run_verification.py --max-n 6 --det-oracle-max-n 6
 """
 
 import argparse

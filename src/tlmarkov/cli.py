@@ -35,7 +35,7 @@ from .ortho import (
 from .qpoly import chebyshev
 
 SCALE_GUARDRAIL = 8  # C_9 = 4862 makes exact Gram work expensive
-DET_ORACLE_GUARDRAIL = 5  # at 6, the oracle's 331 points mod 2^521 - 1 take about 19 s
+DET_ORACLE_GUARDRAIL = 5  # at 6, the oracle's four symmetry blocks take about 1.5 s
 
 
 def _iter_json(obj) -> Iterator[str]:

@@ -139,7 +139,8 @@ def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
 def _symmetries(partners: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The dihedral group of the 2n points, closed into a circle, as
     permutations of the diagrams: entry i of each is the index of the image
-    of partners[i].  Only the identity for fewer than two diagrams."""
+    of partners[i].  Entry n is the half-turn x -> x + n and entry 2n the
+    mirror x -> 2n - 1 - x.  Only the identity for fewer than two diagrams."""
     identity = tuple(range(len(partners)))
     if len(partners) < 2:
         return [identity]

@@ -71,7 +71,11 @@ over the Psi_d, turned into a reduced quotient with no gcd.
 
 :func:`bareiss_det` provides the independent determinant oracle, and
 :func:`det_product` the predicted product form; their exact agreement
-cross-checks the diagonalization against the Gram determinant.  Every loop
+cross-checks the diagonalization against the Gram determinant.  The oracle
+first checks on every entry that G is invariant under the mirror and the
+half-turn of the disk, and splits it into four blocks, one per character
+of the Klein four-group they generate (16/10/10/6 at size 5); det G is the
+product of the block determinants.  Every loop
 count satisfies c(a, b) = c(a, 0) + c(0, b) + c(0, 0) (mod 2), so
 G(q) = diag(q^rho) B(q^2) diag(q^sigma); the oracle finds this split by
 testing every entry and works over y = q^2, at half the degree.  It
@@ -101,7 +105,16 @@ from .diagrams import (
     insert_arc,
     seq_to_matching,
 )
-from .markov import DiagramVector, SquareMatrix, _json_rows, gram, gram_exponents, pair_vectors
+from .markov import (
+    DiagramVector,
+    SquareMatrix,
+    _json_rows,
+    _partners,
+    _symmetries,
+    gram,
+    gram_exponents,
+    pair_vectors,
+)
 from .qpoly import (
     _F_ONE,
     _F_ZERO,
@@ -247,10 +260,13 @@ def _build_level(k: int) -> None:
     """
     below, level = _level(k - 1), _level(k)
     _delta_exponents(k)  # the factor base holds every Psi_d of Delta_1..Delta_k
-    # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples
-    combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
-    for t in below.basis:
-        tail = _stored(t) if t.size else _UNIT
+    tails = [_stored(t) if t.size else _UNIT for t in below.basis]
+    # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples.
+    # Seeded with the values one size down, one object each, so equal values
+    # of the level are one object too (:func:`_combined`)
+    objects = {id(v): v for tail in tails for v in tail.values}
+    combined: dict = {v: v for v in objects.values()}
+    for t, tail in zip(below.basis, tails):
         previous: Mapping[int, _Factored] = {}
         for h in _heads(t):
             column = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
@@ -545,11 +561,17 @@ def _combined(
     previous: _Factored,
 ) -> _Factored:
     """lifted - (Delta_{h-2}/Delta_{h-1}) * previous, computed once per
-    distinct (h, lifted, previous) triple in ``memo``."""
+    distinct (h, lifted, previous) triple in ``memo``.
+
+    ``memo`` also maps each result to itself, so equal results of different
+    triples are one object; a triple starts with an int and a value with a
+    tuple, so the two kinds of key never meet.
+    """
     terms = (h, lifted, previous)
     value = memo.get(terms)
     if value is None:
-        value = memo[terms] = lifted.minus(_ratio(h).times(previous))
+        value = lifted.minus(_ratio(h).times(previous))
+        value = memo[terms] = memo.setdefault(value, value)
     return value
 
 
@@ -911,8 +933,9 @@ def bareiss_det(matrix) -> Polynomial:
     residues, unscaled and spread over the powers q^(shift + step * i).  A
     lifted coefficient beyond the bound raises :class:`InternalCheckError`;
     a bound beyond the table raises :class:`ValueError`.  On a 2-vCPU VM the
-    Gram matrix of size 5 (a 114-bit bound, P = 2^127 - 1) takes about
-    0.25 s and that of size 6 (465 bits, P = 2^521 - 1) about 19 s.
+    whole Gram matrix of size 5 (a 114-bit bound, P = 2^127 - 1) takes about
+    0.2 s and that of size 6 (465 bits, P = 2^521 - 1) 16-19 s; the oracle
+    passes it the four symmetry blocks instead (:func:`det_oracle_check`).
     """
     rows = _polynomial_rows(matrix)
     if not rows:
@@ -1145,11 +1168,73 @@ def _det_exponents(n: int) -> list[int]:
     return exponents
 
 
+def _symmetry_blocks(rows: list[list], sigma: Sequence[int], rho: Sequence[int]) -> list:
+    """The blocks of a matrix invariant under the commuting involutions sigma
+    and rho of its indices, one for each character chi of the Klein
+    four-group H = {1, sigma, rho, sigma rho}.
+
+    Block chi is indexed by the H-orbits O whose stabilizer lies in the
+    kernel of chi, with entry sum_{b in O'} chi(h_b) G[a_O][b], where a_O is
+    the least index of O and h_b maps the least index of O' to b.  Over the
+    basis S of the signed orbit sums, S^-1 G S is the direct sum of the
+    blocks, so det G is the product of their determinants.
+    """
+    # the least index of each orbit -> (its points b with an h_b, stabilizer);
+    # chi(h_b) does not depend on the choice of h_b where chi is used
+    orbits = {}
+    for a in range(len(rows)):
+        images = (a, sigma[a], rho[a], sigma[rho[a]])
+        if min(images) == a:
+            points = {b: h for h, b in enumerate(images)}
+            orbits[a] = points.items(), [h for h, b in enumerate(images) if b == a]
+    blocks = []
+    for chi in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)):
+        kept = [(a, pts) for a, (pts, fixed) in orbits.items() if all(chi[h] > 0 for h in fixed)]
+        block = []
+        for a, _ in kept:
+            row, out = rows[a], []
+            for _, points in kept:
+                total = ZERO
+                for b, h in points:
+                    total = total + row[b] if chi[h] > 0 else total - row[b]
+                out.append(total)
+            block.append(out)
+        blocks.append(block)
+    return blocks
+
+
 def det_oracle_check(n: int) -> CheckResult:
     """Compare the modular determinant of the Gram matrix with the product
-    of predicted diagonal entries."""
+    of predicted diagonal entries.
+
+    The mirror and the half-turn of the disk (:func:`markov._symmetries`)
+    are commuting involutions of the diagrams.  G[g a][g b] = G[a][b] is
+    checked for both on every entry, and a failure fails the check; then
+    det G is the product of :func:`bareiss_det` over the four blocks of
+    :func:`_symmetry_blocks`.  At size 6 the blocks are 48/28/28/28, at most
+    121 points modulo 2^521 - 1 in place of 331, and the check takes about
+    1.4 s in one process on a 2-vCPU VM (16-19 s on the whole matrix).
+    """
     start = time.perf_counter()
-    direct = bareiss_det(gram(n))
+    matrix = gram(n)
+    rows, basis = _polynomial_rows(matrix), matrix.basis
+    perms = _symmetries([_partners(seq_to_matching(s)) for s in basis])
+    # only the identity for a single diagram
+    sigma, rho = (perms[2 * n], perms[n]) if len(perms) > 1 else perms * 2
+    for name, g in (("mirror", sigma), ("half-turn", rho)):
+        for a, row in enumerate(rows):
+            moved = rows[g[a]]
+            if [moved[j] for j in g] != row:
+                b = next(b for b, x in enumerate(row) if moved[g[b]] != x)
+                details = (
+                    f"the Gram matrix is not invariant under the {name}: "
+                    f"<e_{basis[a]}, e_{basis[b]}> = {row[b]} != {moved[g[b]]} = "
+                    f"<e_{basis[g[a]]}, e_{basis[g[b]]}>"
+                )
+                return CheckResult(
+                    "determinant-oracle", False, time.perf_counter() - start, details
+                )
+    direct = math.prod(map(bareiss_det, _symmetry_blocks(rows, sigma, rho)), start=ONE)
     product = det_product(n)
     passed = product.is_polynomial and product.num == direct
     details = (

@@ -222,6 +222,24 @@ def test_symmetries_are_the_dihedral_group_on_the_diagrams(n):
             assert tuple(f[g[i]] for i in range(size)) in group
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_mirror_and_the_half_turn_are_commuting_involutions(n):
+    """Entry 2n of the symmetries reflects the 2n points and entry n turns
+    them by n; each is its own inverse and they commute."""
+    from tlmarkov.markov import _partners, _symmetries
+
+    partners = [_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)]
+    perms = _symmetries(partners)
+    sigma, rho = perms[2 * n], perms[n]
+    points = 2 * n
+    for p, i, j in zip(partners, sigma, rho):
+        assert partners[i] == tuple(points - 1 - p[points - 1 - x] for x in range(points))
+        assert partners[j] == tuple((p[(x + n) % points] + n) % points for x in range(points))
+    for g in (sigma, rho):
+        assert [g[g[i]] for i in range(len(g))] == list(range(len(g)))
+    assert [sigma[i] for i in rho] == [rho[i] for i in sigma]
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 def test_gram_json_shares_one_dict_per_value(n):
     g = gram(n)

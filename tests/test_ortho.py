@@ -29,7 +29,14 @@ from tlmarkov.diagrams import (
     matching_to_seq,
     seq_to_matching,
 )
-from tlmarkov.markov import DiagramVector, SquareMatrix, gram, pair_vectors
+from tlmarkov.markov import (
+    DiagramVector,
+    SquareMatrix,
+    _partners,
+    _symmetries,
+    gram,
+    pair_vectors,
+)
 from tlmarkov.ortho import (
     _MERSENNE_EXPONENTS,
     TRIVALENT_FIXTURES,
@@ -42,6 +49,7 @@ from tlmarkov.ortho import (
     _outside_downset,
     _packed,
     _reduce_powers,
+    _symmetry_blocks,
     bareiss_det,
     change_of_basis,
     check_fixture_bases,
@@ -678,6 +686,18 @@ def test_building_and_stacking_the_vectors_make_no_diagram_vector(monkeypatch):
         assert made == [3]
 
 
+def test_a_cold_build_keeps_one_object_per_value_in_each_level():
+    """The builder interns its coefficients: within one size of the store,
+    equal values are one object."""
+    from tlmarkov.ortho import _stored
+
+    with stored_vectors(clear=True):
+        _stored(seq("1,1,1,1,1,1,1"))
+        for k in range(1, 8):
+            objects = {id(v): v for s in _level(k).basis for v in _stored(s).values}
+            assert len(objects) == len(set(objects.values())), k
+
+
 @pytest.mark.parametrize("k", range(7))
 def test_level_tables_match_the_sequence_route(k):
     """Reference oracle: every l_h and tau_h image in the tables of size k is
@@ -1025,10 +1045,74 @@ def test_det_closed_form_check_reports_a_wrong_exponent(monkeypatch):
     assert check.details == f"Psi_4: product {want + 1} != closed form {want}"
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_determinant_oracle_agreement(n):
     check = det_oracle_check(n)
     assert check.passed, check.details
+
+
+def mirror_and_half_turn(n):
+    perms = _symmetries([_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)])
+    return (perms[2 * n], perms[n]) if len(perms) > 1 else perms * 2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetry_blocks_multiply_to_the_gram_determinant(n):
+    rows = [[e.num for e in row] for row in gram(n).entries]
+    blocks = _symmetry_blocks(rows, *mirror_and_half_turn(n))
+    sizes = [len(block) for block in blocks]
+    assert sum(sizes) == math.comb(2 * n, n) // (n + 1)
+    assert all(len(row) == len(block) for block in blocks for row in block)
+    assert math.prod(map(bareiss_det, blocks), start=ONE) == bareiss_det(gram(n))
+    if n == 5:
+        assert sizes == [16, 10, 10, 6]
+
+
+def test_the_oracle_of_one_diagram_has_one_block():
+    # one diagram: both symmetries are the identity
+    assert [len(b) for b in _symmetry_blocks([[Polynomial((0, 1))]], (0,), (0,))] == [1, 0, 0, 0]
+    check = det_oracle_check(1)
+    assert check.passed
+    assert check.details == "bareiss determinant (degree 1) equals the diagonal product"
+
+
+@pytest.mark.parametrize("name", ["mirror", "half-turn"])
+def test_the_oracle_fails_on_a_gram_matrix_that_breaks_a_symmetry(name, monkeypatch):
+    """One entry is raised by 1 at a pair (a, b) moved by the named symmetry
+    and by sigma rho, and fixed by the mirror when the half-turn is named;
+    the check fails at the first pair of the scan and names the symmetry."""
+    from tlmarkov import ortho as ortho_module
+
+    n = 4
+    true = gram(n)
+    sigma, rho = mirror_and_half_turn(n)
+    g = sigma if name == "mirror" else rho
+
+    def moved(perm, a, b):
+        return (perm[a], perm[b]) != (a, b)
+
+    size = len(true.basis)
+    a, b = next(
+        (a, b)
+        for a in range(size)
+        for b in range(size)
+        if moved(g, a, b)
+        and moved(sigma, a, b) == (name == "mirror")
+        and moved(rho, a, b)
+        and moved([sigma[i] for i in rho], a, b)
+        and (a, b) < (g[a], g[b])
+    )
+    entries = [list(row) for row in true.entries]
+    entries[a][b] = entries[a][b] + RF_ONE
+    monkeypatch.setattr(ortho_module, "gram", lambda k: SquareMatrix(true.basis, entries))
+    check = det_oracle_check(n)
+    assert check.passed is False
+    e = true.basis
+    assert check.details == (
+        f"the Gram matrix is not invariant under the {name}: "
+        f"<e_{e[a]}, e_{e[b]}> = {entries[a][b].num} != {true.entries[a][b].num} = "
+        f"<e_{e[g[a]]}, e_{e[g[b]]}>"
+    )
 
 
 def test_degeneracy_at_chebyshev_roots_small():
