@@ -23,11 +23,11 @@ per process; each image is found by its :class:`Matching`.
 
 Since G = L D L^T with P = L^-1 unitriangular, every denominator in P and in
 the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
-determinant structure).  So the builder, check (ii) and the half-pairing
-recursion compute over the irreducible factors Psi_d of the Delta_k
-(``qpoly._Factored``): an integer numerator over a positive integer and an
-exponent vector, reduced by exact division by the Psi_d present, with no
-polynomial gcd.
+determinant structure).  So the builder and the whole verifier, with one
+recursion step (:func:`_recurse`), compute over the irreducible factors Psi_d
+of the Delta_k (``qpoly._Factored``): an integer numerator over a positive
+integer and an exponent vector, reduced by exact division by the Psi_d
+present, with no polynomial gcd.
 
 One store holds the only copy of the vectors: each is an ``array('I')`` of
 diagram indices with a parallel tuple of shared ``_Factored`` values, keyed
@@ -36,7 +36,7 @@ orthogonality and diagonal checks read it by index.  Values cross to
 :class:`RationalFunction` only at the edges, once per distinct value:
 :func:`orthogonal_vector` wraps an entry into a :class:`DiagramVector` on
 first request, :func:`change_of_basis` fills the rows of P by index, and a
-report converts the values it prints.
+failure message converts the values it prints; a passing check converts none.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -67,7 +67,7 @@ subtraction.  The orthogonality check searches only the terms outside
 their downsets and the half-pairings below the triangle: with both checks
 passing, no pair shares a term, and any pair that does is found from those
 and gets its literal entry.  The predicted diagonal is one exponent vector
-over the Psi_d, turned into a reduced quotient with no gcd.
+over the Psi_d, already in normal form over the factor base.
 
 :func:`bareiss_det` provides the independent determinant oracle, and
 :func:`det_product` the predicted product form; their exact agreement
@@ -131,6 +131,7 @@ from .qpoly import (
     _Factored,
     _from_factored,
     _horner,
+    _normal,
     _psi_power,
     _psi_product,
     _to_factored,
@@ -270,13 +271,7 @@ def _build_level(k: int) -> None:
         previous: Mapping[int, _Factored] = {}
         for h in _heads(t):
             column = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
-            # previous is empty for h = 1
-            for key, value in previous.items():
-                entry = _combined(combined, h, column.get(key, _F_ZERO), value)
-                if entry.num:
-                    column[key] = entry
-                else:
-                    column.pop(key, None)
+            _recurse(combined, h, column, previous)
             stored = _Stored(array("I", column), tuple(column.values()))
             kept = _VECTOR_CACHE.setdefault(t.entries + (h,), stored)
             if kept is not stored:
@@ -310,16 +305,18 @@ def _clear_memos() -> None:
 
 
 def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
-    """The predicted self-pairing: the product of Delta_{a_i}/Delta_{a_i-1}.
+    """The predicted self-pairing: the product of Delta_{a_i}/Delta_{a_i-1},
+    the value of :func:`_predicted` as a reduced quotient."""
+    return _from_factored(_predicted(s))
 
-    It is built from its net exponents over the factor base: the Psi_d are
-    distinct monic irreducibles, so the product of the positive powers over
-    the product of the negative ones is already reduced, with no gcd.
-    """
+
+def _predicted(s: RestrictedSequence) -> _Factored:
+    """The predicted self-pairing over the factor base, from its net
+    exponents: the Psi_d are distinct monic irreducibles, so the product of
+    the positive powers over the negative ones is already in normal form."""
     exponents = _quotient_exponents(s.entries)
     num = _psi_power(tuple(max(e, 0) for e in exponents))
-    den = _psi_power(tuple(max(-e, 0) for e in exponents))
-    return RationalFunction._from_normal(num, den)
+    return _normal(list(num.coeffs), 1, [max(-e, 0) for e in exponents], ())
 
 
 def _quotient_exponents(entries: Iterable[int]) -> list[int]:
@@ -575,7 +572,19 @@ def _combined(
     return value
 
 
-def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
+def _recurse(memo: dict, h: int, column: dict, previous: Mapping[int, _Factored]) -> None:
+    """The recursion step, in place: column -= (Delta_{h-2}/Delta_{h-1}) *
+    previous, entry by entry through :func:`_combined` with the caller's own
+    memo, dropping the entries that cancel.  previous is empty for h = 1."""
+    for key, value in previous.items():
+        entry = _combined(memo, h, column.get(key, _F_ZERO), value)
+        if entry.num:
+            column[key] = entry
+        else:
+            column.pop(key, None)
+
+
+def _half_pairings(n: int) -> list[dict[int, _Factored]]:
     """The half-pairings H[b][a] = <e_b, e'_a> over enumerate_diagrams(n), as
     sparse columns: column a maps the index of each b with H[b][a] != 0 to
     the entry.
@@ -589,8 +598,7 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
 
     No vector and no Gram entry is read; :func:`verify_orthogonality`
     certifies that the result equals G P^T for the stored vectors.  The
-    entries are computed over the factor base and returned as
-    :class:`RationalFunction`.
+    entries are computed and returned over the factor base.
     """
     q = _Factored((0, 1), 1, ())
     # the entries repeat, so each field operation is done once per operands
@@ -618,17 +626,11 @@ def _half_pairings(n: int) -> list[dict[int, RationalFunction]]:
                             column[b] = shifted
                         else:
                             column[b] = value
-                if h > 1:
-                    for b, value in previous.items():
-                        entry = _combined(combined, h, column.get(b, _F_ZERO), value)
-                        if entry.num:
-                            column[b] = entry
-                        else:
-                            column.pop(b, None)
+                _recurse(combined, h, column, previous)
                 upper.append(column)
                 previous = column
         columns = upper
-    return [{b: _from_factored(value) for b, value in column.items()} for column in columns]
+    return columns
 
 
 def _adjunction_mismatches(n: int) -> list[str]:
@@ -705,12 +707,7 @@ def _recursion_mismatches(n: int) -> list[str]:
                 lift = level.lift[h - 1]
                 lifted = dict(zip(map(lift.__getitem__, tail.indices), tail.values))
                 want = dict(lifted)
-                for key, value in previous.items():
-                    entry = _combined(combined, h, want.get(key, _F_ZERO), value)
-                    if entry.num:
-                        want[key] = entry
-                    else:
-                        want.pop(key, None)
+                _recurse(combined, h, want, previous)
                 if want != got:
                     recursion = f"l_{h}(e'_{t})"
                     if h > 1:
@@ -721,8 +718,8 @@ def _recursion_mismatches(n: int) -> list[str]:
                         )
                         if got.get(i, _F_ZERO) != value:
                             bad.append(
-                                f"e'_{a} has {_from_factored(got.get(i, _F_ZERO))} != "
-                                f"{_from_factored(value)} on e_{level.basis[i]} by {recursion}"
+                                f"e'_{a} has {got.get(i, _F_ZERO)} != {value} "
+                                f"on e_{level.basis[i]} by {recursion}"
                             )
                 previous = got
     return bad
@@ -742,10 +739,10 @@ def verify_orthogonality(n: int) -> VerificationReport:
     start = time.perf_counter()
     # P[a][a], found by a scan of the row's indices
     p_diagonal = [
-        _from_factored(row.values[row.indices.index(i)]) if i in row.indices else RF_ZERO
+        row.values[row.indices.index(i)] if i in row.indices else _F_ZERO
         for i, row in enumerate(rows)
     ]
-    failures = [str(basis[i]) for i, p in enumerate(p_diagonal) if p != RF_ONE]
+    failures = [str(basis[i]) for i, p in enumerate(p_diagonal) if p != _F_ONE]
     report.checks.append(
         CheckResult(
             "unitriangular",
@@ -801,13 +798,13 @@ def verify_orthogonality(n: int) -> VerificationReport:
     rank = [0] * size
     for r, i in enumerate(sorted(range(size), key=lambda i: basis[i].head_first)):
         rank[i] = r
-    predicted = [predicted_diagonal(s) for s in basis]
+    predicted = [_predicted(s) for s in basis]
     triangle: list[tuple[int, int]] = []  # (b, a) with H[b][a] != 0, b before a
     diagonal_bad: list[str] = []
     for a_idx, column in enumerate(half):
         a_rank = rank[a_idx]
         triangle += [(b_idx, a_idx) for b_idx in column if rank[b_idx] < a_rank]
-        got = column.get(a_idx, RF_ZERO)
+        got = column.get(a_idx, _F_ZERO)
         want = predicted[a_idx]
         if got != want:
             diagonal_bad.append(f"<e_{basis[a_idx]}, e'_{basis[a_idx]}> = {got} != {want}")
@@ -832,13 +829,13 @@ def verify_orthogonality(n: int) -> VerificationReport:
     # lex-smaller argument, every term was verified zero above
     start = time.perf_counter()
 
-    def primed_pairing(lo: int, hi: int) -> RationalFunction:
-        # <e'_lo, e'_hi> = sum_t P[lo][t] * H[t][hi] over the surviving terms
+    def primed_pairing(lo: int, hi: int) -> _Factored:
+        # <e'_lo, e'_hi> = 0 - (0 - sum_t P[lo][t] * H[t][hi]), t surviving
         coeffs, column = dict(zip(rows[lo].indices, rows[lo].values)), half[hi]
-        value = RF_ZERO
+        negated = _F_ZERO
         for t in coeffs.keys() & column.keys():
-            value = value + _from_factored(coeffs[t]) * column[t]
-        return value
+            negated = negated.minus(coeffs[t].times(column[t]))
+        return _F_ZERO.minus(negated)
 
     # A term t of e'_lo inside its downset has rank(t) <= rank(lo), and a
     # nonzero row t of column hi that keeps the triangle has
@@ -864,7 +861,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
     ortho_bad: list[str] = []
     for lo, hi in sorted(shared, key=sorted):
         value = primed_pairing(lo, hi)
-        if not value.is_zero:
+        if value.num:
             i, j = sorted((lo, hi))
             for x, y in ((i, j), (j, i)):
                 ortho_bad.append(f"<e'_{basis[x]}, e'_{basis[y]}> = {value} (expected 0)")
@@ -889,8 +886,8 @@ def verify_orthogonality(n: int) -> VerificationReport:
         if i in broken:
             value = primed_pairing(i, i)
         else:
-            p, h = p_diagonal[i], half[i].get(i, RF_ZERO)
-            value = h if p == RF_ONE else p * h
+            p, h = p_diagonal[i], half[i].get(i, _F_ZERO)
+            value = h if p == _F_ONE else p.times(h)
         want = predicted[i]
         if value != want:
             diag_bad.append(f"<e'_{basis[i]}, e'_{basis[i]}> = {value} != {want}")

@@ -667,6 +667,9 @@ class _Factored(NamedTuple):
     den: int
     exps: tuple[int, ...]
 
+    def __str__(self) -> str:
+        return str(_from_factored(self))
+
     def times(self, other: "_Factored") -> "_Factored":
         if not self.num or not other.num:
             return _F_ZERO

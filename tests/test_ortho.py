@@ -48,6 +48,7 @@ from tlmarkov.ortho import (
     _mersenne_prime,
     _outside_downset,
     _packed,
+    _predicted,
     _reduce_powers,
     _symmetry_blocks,
     bareiss_det,
@@ -61,12 +62,15 @@ from tlmarkov.ortho import (
     verify_orthogonality,
 )
 from tlmarkov.qpoly import (
+    _F_ZERO,
     ONE,
     RF_ONE,
     RF_ZERO,
     Polynomial,
     RationalFunction,
     _delta_exponents,
+    _from_factored,
+    _to_factored,
     chebyshev,
     chebyshev_root,
     eval_at,
@@ -177,8 +181,15 @@ def chebyshev_product_diagonal(s):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_predicted_diagonal_equals_the_chebyshev_product(n):
+    """The public diagonal, and up to n = 7 the factor-base value the
+    verifier compares with, in normal form, through the gcd-reducing
+    constructor."""
     for s in enumerate_diagrams(n):
-        assert predicted_diagonal(s) == chebyshev_product_diagonal(s), str(s)
+        want = chebyshev_product_diagonal(s)
+        assert predicted_diagonal(s) == want, str(s)
+        if n <= 7:
+            assert_normal_form(_predicted(s))
+            assert factored_value(_predicted(s)) == want, str(s)
 
 
 def test_verify_diagonals_small():
@@ -309,7 +320,7 @@ def test_half_pairings_match_the_direct_pairing(n):
         vector = orthogonal_vector(a)
         for b_idx, b in enumerate(basis):
             direct = pair_vectors(DiagramVector.basis_vector(b), vector, matrix)
-            assert columns[a_idx].get(b_idx, RF_ZERO) == direct, (str(b), str(a))
+            assert _from_factored(columns[a_idx].get(b_idx, _F_ZERO)) == direct, (str(b), str(a))
 
 
 def test_verify_detects_a_corrupted_interior_vector():
@@ -362,7 +373,7 @@ def test_verify_reports_the_literal_entry_of_a_surviving_term(monkeypatch):
 
     def tampered(n):
         columns = true_half_pairings(n)
-        columns[1][0] = INV_Q  # <e_1,1, e'_2,1> = 1/q, below the triangle
+        columns[1][0] = _to_factored(INV_Q)  # <e_1,1, e'_2,1> = 1/q, below the triangle
         return columns
 
     monkeypatch.setattr(ortho_module, "_half_pairings", tampered)
@@ -423,7 +434,7 @@ def _literal_entries(basis, rows, half):
             lo, hi = (i, j) if x.head_first <= y.head_first else (j, i)
             value = RF_ZERO
             for t, c in rows[lo].coeffs.items():
-                value = value + c * half[hi].get(basis.index(t), RF_ZERO)
+                value = value + c * factored_value(half[hi].get(basis.index(t), _F_ZERO))
             if i == j:
                 if value != predicted_diagonal(x):
                     diag_bad.append(f"<e'_{x}, e'_{x}> = {value} != {predicted_diagonal(x)}")
@@ -450,7 +461,7 @@ def test_orthogonality_and_diagonal_match_the_full_expansion(data):
         rows[i] = DiagramVector(n, {**rows[i].coeffs, basis[t]: data.draw(value)})
     half = _half_pairings(n)
     for _ in range(data.draw(st.integers(0, 2))):
-        half[data.draw(pick)][data.draw(pick)] = data.draw(value)
+        half[data.draw(pick)][data.draw(pick)] = _to_factored(data.draw(value))
     want_ortho, want_diag = _literal_entries(basis, rows, half)
     true_half_pairings = ortho_module._half_pairings
     ortho_module._half_pairings = lambda k: half if k == n else true_half_pairings(k)
@@ -539,14 +550,18 @@ def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch)
     import sys
 
     from tlmarkov import ortho as ortho_module
-    from tlmarkov.qpoly import _Factored, _from_factored
+    from tlmarkov.qpoly import _Factored
 
     true_combined, true_times = ortho_module._combined, _Factored.times
     triples: dict[str, set] = {}
     products = set()
 
     def combined(memo, h, lifted, previous):
-        caller = sys._getframe(1).f_code.co_name
+        # a call from the shared step counts for the recursion above it
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_recurse":
+            frame = frame.f_back
+        caller = frame.f_code.co_name
         triples.setdefault(caller, set()).add((h, lifted, previous))
         return true_combined(memo, h, lifted, previous)
 
@@ -576,6 +591,20 @@ def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch)
         got = true_times(a, b)
         assert_normal_form(got)
         assert factored_value(got) == factored_value(a) * factored_value(b)
+
+
+def test_a_passing_verification_converts_nothing():
+    """The verifier compares over the factor base only: from empty memos, a
+    passing verification at n = 1..6 leaves no RationalFunction conversion
+    behind."""
+    from tlmarkov import qpoly
+    from tlmarkov.ortho import _clear_memos
+
+    _clear_memos()
+    with stored_vectors(clear=True):
+        for n in range(1, 7):
+            assert verify_orthogonality(n).passed
+            assert not qpoly._FROM_FACTORED, n
 
 
 def test_memos_clear_and_rebuild_the_same_vectors():
