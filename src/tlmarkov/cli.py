@@ -26,13 +26,15 @@ from .diagrams import (
 )
 from .markov import gram, pair_diagrams
 from .ortho import (
+    _checked_rows,
+    _predicted,
     change_of_basis,
     check_fixture_bases,
     det_closed_form_check,
     det_oracle_check,
     verify_orthogonality,
 )
-from .qpoly import chebyshev
+from .qpoly import _F_ZERO, _Factored, _psi_power, chebyshev
 
 SCALE_GUARDRAIL = 8  # C_9 = 4862 makes exact Gram work expensive
 DET_ORACLE_GUARDRAIL = 5  # at 6, the oracle's four symmetry blocks take about 1.5 s
@@ -71,16 +73,16 @@ def _iter_json(obj) -> Iterator[str]:
         if not value:
             yield brackets
             return
-        indent = "\n" + "  " * (depth + 1)
-        close = "\n" + "  " * depth + brackets[1]
         if not streamed:
             seen = memo.setdefault(depth + 1, {})
             texts = [
                 prefix + (seen.get(id(member)) or whole(member, depth + 1))
                 for prefix, member in members
             ]
-            yield brackets[0] + indent + f",{indent}".join(texts) + close
+            yield _block(texts, depth, brackets)
             return
+        indent = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + brackets[1]
         yield brackets[0]
         for i, (prefix, member) in enumerate(members):
             yield f",{indent}{prefix}" if i else f"{indent}{prefix}"
@@ -91,8 +93,58 @@ def _iter_json(obj) -> Iterator[str]:
     yield "\n"
 
 
+def _block(texts: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON list (or object, with brackets "{}") at depth, from the texts of
+    its members (keys included), laid out as :func:`_iter_json` lays it out."""
+    if not texts:
+        return brackets
+    indent = "\n" + "  " * (depth + 1)
+    return brackets[0] + indent + f",{indent}".join(texts) + "\n" + "  " * depth + brackets[1]
+
+
 def _dump_json(obj) -> str:
     return "".join(_iter_json(obj))
+
+
+def _factored_json(value: _Factored, depth: int) -> str:
+    """The text of ``_from_factored(value).to_json()`` as :func:`_iter_json`
+    renders it at depth, built from the factor-base form; no
+    RationalFunction is made."""
+    num = value.num if value.den == 1 else [Fraction(c, value.den) for c in value.num]
+    polynomials = [
+        f'"{key}": '
+        + _block(['"coeffs": ' + _block([f'"{c!s}"' for c in coeffs], depth + 2)], depth + 1, "{}")
+        for key, coeffs in (("den", _psi_power(value.exps).coeffs), ("num", num))
+    ]
+    return _block(polynomials, depth, "{}")
+
+
+def _iter_basis_json(n: int, basis, rows) -> Iterator[str]:
+    """The text of ``_dump_json(change_of_basis(n).to_json())`` in chunks, one
+    per row of P, from the basis and rows of :func:`_checked_rows`.
+
+    Each distinct coefficient object's text is built once
+    (:func:`_factored_json`) and each row is joined from those texts.
+    """
+    zero = _factored_json(_F_ZERO, 3)
+    # looked up by id, since hashing a coefficient is slow; the rows hold
+    # every object, so no id is reused
+    texts: dict[int, str] = {}
+    yield '{\n  "P": ['
+    for a, (indices, values) in enumerate(rows):
+        row = [zero] * len(basis)
+        for i, value in zip(indices, values):
+            text = texts.get(id(value))
+            if text is None:
+                text = texts[id(value)] = _factored_json(value, 3)
+            row[i] = text
+        yield (",\n    " if a else "\n    ") + _block(row, 2)
+    members = [
+        '"basis": ' + _block([_block(list(map(str, s.head_first)), 2) for s in basis], 1),
+        '"diagonal": ' + _block([_factored_json(_predicted(s), 2) for s in basis], 1),
+        f'"n": {n}',
+    ]
+    yield "\n  ],\n  " + ",\n  ".join(members) + "\n}\n"
 
 
 def _emit(chunks: Iterable[str] | str, out_path: str | None) -> None:
@@ -208,10 +260,13 @@ def _cmd_orthogonalize(args) -> int:
         return _fail(problem)
     if args.n < 1:
         return _fail("orthogonalize needs n >= 1")
-    basis = change_of_basis(args.n)
     if args.format == "json":
-        _emit(_iter_json(basis.to_json()), args.out)
-    elif args.format == "csv":
+        # every check runs here, before _emit opens --out or writes a byte
+        basis, rows = _checked_rows(args.n)
+        _emit(_iter_basis_json(args.n, basis, rows), args.out)
+        return 0
+    basis = change_of_basis(args.n)
+    if args.format == "csv":
         text = basis.P.to_csv()
         text += "<diagonal>," + ",".join(f'"{d}"' for d in basis.diagonal) + "\n"
         _emit(text, args.out)

@@ -35,8 +35,11 @@ by its sequence.  The builder, check (ii), the downset test and the
 orthogonality and diagonal checks read it by index.  Values cross to
 :class:`RationalFunction` only at the edges, once per distinct value:
 :func:`orthogonal_vector` wraps an entry into a :class:`DiagramVector` on
-first request, :func:`change_of_basis` fills the rows of P by index, and a
-failure message converts the values it prints; a passing check converts none.
+first request, :func:`change_of_basis` (the text and CSV output) fills the
+rows of P by index, and a failure message converts the values it prints.  A
+passing check converts none, and neither does the JSON output of
+``orthogonalize``, which renders the checked rows (:func:`_checked_rows`)
+and the predicted diagonal from the factor-base values.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -355,11 +358,10 @@ class OrthoBasis:
         }
 
 
-def change_of_basis(n: int) -> OrthoBasis:
-    """Stack the orthogonal vectors over the canonical basis order.
+def _checked_rows(n: int) -> tuple[tuple[RestrictedSequence, ...], list[_Stored]]:
+    """The basis of size n and the store's entry of each e'_a in basis
+    order: the rows of P over the factor base.
 
-    Each row of P is filled by index from the store, and each distinct
-    coefficient object is converted to a RationalFunction once.
     Unitriangularity and downset support are asserted before returning; a
     failure signals an implementation bug, never expected data.
     """
@@ -368,26 +370,43 @@ def change_of_basis(n: int) -> OrthoBasis:
     basis = enumerate_diagrams(n)
     packed, guards = _packed(basis)
     by_position = list(packed.values())
-    # the coefficients are few shared objects and hashing one is slow, so
-    # each is converted once, looked up by id; holding the object keeps its
-    # id from being reused
-    converted: dict[int, tuple[object, RationalFunction]] = {}
-    rows = []
-    for a, s in enumerate(basis):
-        stored = _stored(s)
-        row = [RF_ZERO] * len(basis)
-        for i, value in zip(stored.indices, stored.values):
-            seen = converted.get(id(value))
-            if seen is None:
-                seen = converted[id(value)] = (value, _from_factored(value))
-            row[i] = seen[1]
-        if row[a] != RF_ONE:
+    rows = [_stored(s) for s in basis]
+    for a, (s, row) in enumerate(zip(basis, rows)):
+        if _coefficient(row, a) != _F_ONE:
             raise InternalCheckError(f"coefficient of {s} in e'_{s} is not 1")
-        outside = _outside_downset(a, stored.indices, by_position, guards)
+        outside = _outside_downset(a, row.indices, by_position, guards)
         if outside:
             raise InternalCheckError(
                 f"e'_{s} has support outside its downset: {basis[outside[0]]}"
             )
+    return basis, rows
+
+
+def _coefficient(row: _Stored, i: int) -> _Factored:
+    """The coefficient of diagram i in a stored vector, by a scan of its indices."""
+    return row.values[row.indices.index(i)] if i in row.indices else _F_ZERO
+
+
+def change_of_basis(n: int) -> OrthoBasis:
+    """Stack the orthogonal vectors over the canonical basis order.
+
+    Each row of P is filled by index from the checked rows
+    (:func:`_checked_rows`), and each distinct coefficient object is
+    converted to a RationalFunction once.
+    """
+    basis, stored_rows = _checked_rows(n)
+    # the coefficients are few shared objects and hashing one is slow, so
+    # each is converted once, looked up by id; the rows hold every object,
+    # so no id is reused
+    converted: dict[int, RationalFunction] = {}
+    rows = []
+    for stored in stored_rows:
+        row = [RF_ZERO] * len(basis)
+        for i, value in zip(stored.indices, stored.values):
+            rf = converted.get(id(value))
+            if rf is None:
+                rf = converted[id(value)] = _from_factored(value)
+            row[i] = rf
         rows.append(tuple(row))
     P = SquareMatrix(basis, tuple(rows))
     diagonal = tuple(predicted_diagonal(s) for s in basis)
@@ -737,11 +756,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
 
     # unitriangularity
     start = time.perf_counter()
-    # P[a][a], found by a scan of the row's indices
-    p_diagonal = [
-        row.values[row.indices.index(i)] if i in row.indices else _F_ZERO
-        for i, row in enumerate(rows)
-    ]
+    p_diagonal = [_coefficient(row, i) for i, row in enumerate(rows)]
     failures = [str(basis[i]) for i, p in enumerate(p_diagonal) if p != _F_ONE]
     report.checks.append(
         CheckResult(

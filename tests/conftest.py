@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from tlmarkov.diagrams import RestrictedSequence
 from tlmarkov.markov import DiagramVector
-from tlmarkov.qpoly import _PSI, Polynomial, RationalFunction, _psi_product, chebyshev, poly_divrem
+from tlmarkov.qpoly import (
+    _PSI,
+    Polynomial,
+    RationalFunction,
+    _delta_exponents,
+    _psi_product,
+    chebyshev,
+    poly_divrem,
+)
 
 
 def coefficients(bound: int = 8):
@@ -36,6 +44,16 @@ def rational_functions(max_degree: int = 4, bound: int = 6):
     return st.tuples(
         polynomials(max_degree, bound), nonzero_polynomials(max_degree, bound)
     ).map(lambda pair: RationalFunction(*pair))
+
+
+def base_values(max_degree=4):
+    """Rational functions whose denominators are products of Psi_d, d <= 18."""
+    _delta_exponents(8)
+    exponents = st.lists(st.integers(0, 2), max_size=len(_PSI))
+    scalars = st.integers(1, 6)
+    return st.tuples(polynomials(max_degree, 6), exponents, scalars).map(
+        lambda t: RationalFunction(t[0], _psi_product(t[1]).scaled(t[2]))
+    )
 
 
 def nonzero_rational_functions(max_degree: int = 4, bound: int = 6):

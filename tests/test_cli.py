@@ -5,15 +5,35 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tlmarkov.cli import _dump_json, _iter_json, main
-from tlmarkov.markov import gram
-from tlmarkov.ortho import change_of_basis
+from conftest import base_values, stored_vectors
+from tlmarkov import qpoly
+from tlmarkov.cli import _dump_json, _factored_json, _iter_basis_json, _iter_json, main
+from tlmarkov.diagrams import RestrictedSequence
+from tlmarkov.markov import DiagramVector, gram
+from tlmarkov.ortho import (
+    InternalCheckError,
+    _checked_rows,
+    _clear_memos,
+    _predicted,
+    change_of_basis,
+)
+from tlmarkov.qpoly import (
+    _F_ZERO,
+    ONE,
+    RF_ZERO,
+    Polynomial,
+    RationalFunction,
+    _from_factored,
+    _to_factored,
+    chebyshev,
+)
 
 
 def run(capsys, *argv):
@@ -170,6 +190,93 @@ def test_orthogonalize_json(capsys):
         "den": {"coeffs": ["1"]},
         "num": {"coeffs": ["0", "-2", "0", "1"]},
     }
+
+
+def test_orthogonalize_csv(capsys):
+    code, out, _ = run(capsys, "orthogonalize", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        ',"1,1","2,1"',
+        '"1,1",1,0',
+        '"2,1",-1/q,1',
+        '<diagonal>,"q^2","q^2 - 1"',
+    ]
+
+
+def reference_text(value, depth):
+    """The reference rendering of a factor-base value at depth: the
+    to_json() of its RationalFunction through _iter_json, indented."""
+    return _dump_json(_from_factored(value).to_json())[:-1].replace("\n", "\n" + "  " * depth)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factored_json_is_the_reference_text(n):
+    """Every distinct coefficient of P, at the depth of an entry of P, and
+    every predicted diagonal entry, at the depth of an entry of the
+    diagonal, has the reference text."""
+    basis, rows = _checked_rows(n)
+    for value in {v for row in rows for v in row.values} | {_F_ZERO}:
+        assert _factored_json(value, 3) == reference_text(value, 3)
+    for s in basis:
+        value = _predicted(s)
+        assert _factored_json(value, 2) == reference_text(value, 2)
+
+
+@given(base_values())
+@example(RF_ZERO)
+@example(RationalFunction(Polynomial((Fraction(-1, 2), 0, 3)), ONE))
+@example(RationalFunction(Polynomial((0, Fraction(2, 3), -1)), chebyshev(2) * chebyshev(3)))
+def test_factored_json_of_values_in_normal_form(x):
+    value = _to_factored(x)
+    for depth in (0, 2, 3):
+        assert _factored_json(value, depth) == reference_text(value, depth)
+
+
+def test_orthogonalize_json_streams_one_chunk_per_row():
+    basis, rows = _checked_rows(3)
+    chunks = list(_iter_basis_json(3, basis, rows))
+    obj = change_of_basis(3).to_json()
+    assert "".join(chunks) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # the opening, one chunk per row of P, and the rest of the document
+    assert len(chunks) == 1 + len(basis) + 1
+    for chunk, row in zip(chunks[1:], obj["P"]):
+        assert chunk.endswith(json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    "))
+
+
+def test_orthogonalize_json_converts_nothing(capsys):
+    """The JSON of orthogonalize is built from the factor-base values: from
+    cleared memos, n = 1..6 leave no RationalFunction conversion behind."""
+    _clear_memos()
+    for n in range(1, 7):
+        code, _, _ = run(capsys, "orthogonalize", str(n), "--format", "json")
+        assert code == 0
+        assert not qpoly._FROM_FACTORED, n
+
+
+@pytest.mark.parametrize(
+    "s, terms",
+    [
+        # P[a][a] = 2 in the last row
+        ("3,2,1", {"3,2,1": 2}),
+        # the term e_1,2,1 outside the downset of 2,1,1, in the second row;
+        # no vector of size 3 is built from e'_2,1,1
+        ("2,1,1", {"2,1,1": 1, "1,2,1": 1}),
+    ],
+)
+def test_orthogonalize_json_checks_every_row_before_any_output(tmp_path, capsys, s, terms):
+    seq = RestrictedSequence.parse
+    corrupted = DiagramVector(3, {seq(t): c for t, c in terms.items()})
+    path = tmp_path / "p.json"
+    try:
+        with stored_vectors({seq(s): corrupted}, clear=True):
+            with pytest.raises(InternalCheckError):
+                main(["orthogonalize", "3", "--format", "json", "--out", str(path)])
+            with pytest.raises(InternalCheckError):
+                main(["orthogonalize", "3", "--format", "json"])
+    finally:
+        _clear_memos()
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_small_passes(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_normal_form,
+    base_values,
     factored_value,
     nonzero_polynomials,
     nonzero_rational_functions,
@@ -390,16 +391,6 @@ def test_psi_is_the_minimal_polynomial_of_2cos():
         for j in range(1, d // 2 + 1):
             value = psi.evaluate(2 * math.cos(2 * math.pi * j / d))
             assert (abs(value) < 1e-6) == (math.gcd(j, d) == 1), (d, j)
-
-
-def base_values(max_degree=4):
-    """Rational functions whose denominators are products of Psi_d, d <= 18."""
-    _delta_exponents(8)
-    exponents = st.lists(st.integers(0, 2), max_size=len(_PSI))
-    scalars = st.integers(1, 6)
-    return st.tuples(polynomials(max_degree, 6), exponents, scalars).map(
-        lambda t: RationalFunction(t[0], _psi_product(t[1]).scaled(t[2]))
-    )
 
 
 def fresh_from_factored(value):
