@@ -4,6 +4,10 @@ Subcommands: enumerate, pair, gram, orthogonalize, verify, chebyshev, hasse.
 Sequences are written in conventional order, e.g. "3,2,2,1,2,2,1"; the empty
 string names the empty diagram.  Exit codes: 0 success, 1 failed
 verification, 2 usage or input errors.
+
+``gram`` and ``orthogonalize`` write their matrix in every format through
+one writer (:func:`_matrix_chunks`), a row at a time, each row joined from
+one text per distinct value; the other commands' documents are small.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .diagrams import (
@@ -24,11 +26,11 @@ from .diagrams import (
     hasse_dot,
     seq_to_matching,
 )
-from .markov import gram, pair_diagrams
+from .markov import _csv_lines, gram_exponents, pair_diagrams
 from .ortho import (
     _checked_rows,
     _predicted,
-    change_of_basis,
+    _Stored,
     check_fixture_bases,
     det_closed_form_check,
     det_oracle_check,
@@ -40,62 +42,10 @@ SCALE_GUARDRAIL = 8  # C_9 = 4862 makes exact Gram work expensive
 DET_ORACLE_GUARDRAIL = 5  # at 6, the oracle's four symmetry blocks take about 1.5 s
 
 
-def _iter_json(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` in
-    chunks, for JSON values whose dict keys are str.
-
-    The top value and the direct elements of its lists (the rows of a matrix)
-    are yielded one at a time; anything deeper is rendered whole, as one
-    chunk joined from its members' texts, each dict object once per depth,
-    so entries that share one dict are rendered once.
-    """
-    # depth -> id of a dict -> its text; obj holds every dict, so no id is reused
-    memo: dict[int, dict[int, str]] = {}
-
-    def whole(value, depth: int) -> str:
-        text = "".join(chunks(value, depth, 0))
-        if isinstance(value, dict):
-            memo.setdefault(depth, {})[id(value)] = text
-        return text
-
-    def chunks(value, depth: int, streamed: int) -> Iterator[str]:
-        if isinstance(value, dict):
-            brackets = "{}"
-            members = [
-                (f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(value.items())
-            ]
-        elif isinstance(value, (list, tuple)):
-            brackets = "[]"
-            members = zip(repeat(""), value)
-        else:
-            yield json.dumps(value)
-            return
-        if not value:
-            yield brackets
-            return
-        if not streamed:
-            seen = memo.setdefault(depth + 1, {})
-            texts = [
-                prefix + (seen.get(id(member)) or whole(member, depth + 1))
-                for prefix, member in members
-            ]
-            yield _block(texts, depth, brackets)
-            return
-        indent = "\n" + "  " * (depth + 1)
-        close = "\n" + "  " * depth + brackets[1]
-        yield brackets[0]
-        for i, (prefix, member) in enumerate(members):
-            yield f",{indent}{prefix}" if i else f"{indent}{prefix}"
-            yield from chunks(member, depth + 1, streamed - 1)
-        yield close
-
-    yield from chunks(obj, 0, 2)
-    yield "\n"
-
-
 def _block(texts: list[str], depth: int, brackets: str = "[]") -> str:
     """A JSON list (or object, with brackets "{}") at depth, from the texts of
-    its members (keys included), laid out as :func:`_iter_json` lays it out."""
+    its members (keys included), laid out as ``json.dumps(..., indent=2)``
+    lays it out."""
     if not texts:
         return brackets
     indent = "\n" + "  " * (depth + 1)
@@ -103,11 +53,11 @@ def _block(texts: list[str], depth: int, brackets: str = "[]") -> str:
 
 
 def _dump_json(obj) -> str:
-    return "".join(_iter_json(obj))
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _factored_json(value: _Factored, depth: int) -> str:
-    """The text of ``_from_factored(value).to_json()`` as :func:`_iter_json`
+    """The text of ``_from_factored(value).to_json()`` as :func:`_dump_json`
     renders it at depth, built from the factor-base form; no
     RationalFunction is made."""
     num = value.num if value.den == 1 else [Fraction(c, value.den) for c in value.num]
@@ -119,32 +69,63 @@ def _factored_json(value: _Factored, depth: int) -> str:
     return _block(polynomials, depth, "{}")
 
 
-def _iter_basis_json(n: int, basis, rows) -> Iterator[str]:
-    """The text of ``_dump_json(change_of_basis(n).to_json())`` in chunks, one
-    per row of P, from the basis and rows of :func:`_checked_rows`.
+def _value_text(fmt: str, value: _Factored, depth: int) -> str:
+    """One matrix entry or diagonal value as the format writes it: its JSON
+    at depth, or its str for text and CSV."""
+    return _factored_json(value, depth) if fmt == "json" else str(value)
 
-    Each distinct coefficient object's text is built once
-    (:func:`_factored_json`) and each row is joined from those texts.
-    """
-    zero = _factored_json(_F_ZERO, 3)
+
+def _matrix_chunks(args, basis, key: str, label: str, rows, diagonal=None) -> Iterator[str]:
+    """The document of a matrix over basis in ``args.format``, in chunks: what
+    comes before the rows, one chunk per row joined from its entries' texts,
+    and the rest.  key is the matrix's JSON member and label heads its rows
+    in text.  diagonal, if given, holds the texts of the diagonal's entries;
+    it is read only after the rows, and follows them (in JSON, its key sorts
+    after key).  The JSON is that of ``json.dumps(obj, sort_keys=True,
+    indent=2)``."""
+    if args.format == "json":
+        members = {
+            "basis": _block([_block(list(map(str, s.head_first)), 2) for s in basis], 1),
+            "n": str(args.n),
+        }
+        before = "".join(f'"{k}": {members[k]},\n  ' for k in sorted(members) if k < key)
+        yield "{\n  " + before + f'"{key}": ['
+        for a, row in enumerate(rows):
+            yield (",\n    " if a else "\n    ") + _block(row, 2)
+        if diagonal is not None:
+            members["diagonal"] = _block(list(diagonal), 1)
+        after = "".join(f',\n  "{k}": {members[k]}' for k in sorted(members) if k > key)
+        yield "\n  ]" + after + "\n}\n"
+        return
+    names = [str(s) for s in basis]
+    if args.format == "csv":
+        yield "".join(_csv_lines([["", *names]]))
+        yield from _csv_lines([s, *row] for s, row in zip(names, rows))
+        quoted = [f',"{d}"' for d in diagonal or ()]
+        yield "".join(["<diagonal>", *quoted, "\n"]) if diagonal is not None else ""
+    else:
+        yield f"n {args.n}\nbasis: " + "; ".join(names) + "\n"
+        for s, row in zip(names, rows):
+            yield f"{label}[{s}]: " + ", ".join(row) + "\n"
+        yield "".join(f"D[{s}]: {d}\n" for s, d in zip(names, diagonal or ()))
+
+
+def _stored_rows(fmt: str, size: int, stored: Iterable[_Stored]) -> Iterator[list[str]]:
+    """The rows of P as entry texts, from the store's rows: each distinct
+    coefficient object is rendered once, and each row is the zero entry's
+    text with the nonzero entries set by index."""
+    zero = _value_text(fmt, _F_ZERO, 3)
     # looked up by id, since hashing a coefficient is slow; the rows hold
     # every object, so no id is reused
     texts: dict[int, str] = {}
-    yield '{\n  "P": ['
-    for a, (indices, values) in enumerate(rows):
-        row = [zero] * len(basis)
+    for indices, values in stored:
+        row = [zero] * size
         for i, value in zip(indices, values):
             text = texts.get(id(value))
             if text is None:
-                text = texts[id(value)] = _factored_json(value, 3)
+                text = texts[id(value)] = _value_text(fmt, value, 3)
             row[i] = text
-        yield (",\n    " if a else "\n    ") + _block(row, 2)
-    members = [
-        '"basis": ' + _block([_block(list(map(str, s.head_first)), 2) for s in basis], 1),
-        '"diagonal": ' + _block([_factored_json(_predicted(s), 2) for s in basis], 1),
-        f'"n": {n}',
-    ]
-    yield "\n  ],\n  " + ",\n  ".join(members) + "\n}\n"
+        yield row
 
 
 def _emit(chunks: Iterable[str] | str, out_path: str | None) -> None:
@@ -162,10 +143,15 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _exceeds(n: int, guardrail: int, max_n: int | None) -> bool:
+    """Whether n is above a guardrail that --max-n does not lift."""
+    return n > guardrail and (max_n is None or n > max_n)
+
+
 def _check_scale(n: int, max_n: int | None) -> str | None:
     if n < 0:
         return f"n must be >= 0, got {n}"
-    if n > SCALE_GUARDRAIL and (max_n is None or n > max_n):
+    if _exceeds(n, SCALE_GUARDRAIL, max_n):
         return (
             f"n = {n} exceeds the desk-scale guardrail ({SCALE_GUARDRAIL}); "
             f"pass --max-n {n} to override"
@@ -209,7 +195,7 @@ def _cmd_enumerate(args) -> int:
             "count": len(sequences),
             "sequences": [list(s.head_first) for s in sequences],
         }
-        _emit(_iter_json(obj), args.out)
+        _emit(_dump_json(obj), args.out)
     else:
         _emit("".join(f"{s}\n" for s in sequences), args.out)
     return 0
@@ -231,7 +217,7 @@ def _cmd_pair(args) -> int:
             "exponent": value.exponent,
             "value": str(value),
         }
-        _emit(_iter_json(obj), args.out)
+        _emit(_dump_json(obj), args.out)
     else:
         _emit(f"{value}\n", args.out)
     return 0
@@ -241,16 +227,13 @@ def _cmd_gram(args) -> int:
     problem = _check_scale(args.n, args.max_n)
     if problem:
         return _fail(problem)
-    matrix = gram(args.n)
-    if args.format == "json":
-        _emit(_iter_json(matrix.to_json(n=args.n)), args.out)
-    elif args.format == "csv":
-        _emit(matrix.to_csv(), args.out)
-    else:
-        lines = [f"n {args.n}", "basis: " + "; ".join(str(s) for s in matrix.basis)]
-        for s, row in zip(matrix.basis, matrix.entries):
-            lines.append(f"G[{s}]: " + ", ".join(str(e) for e in row))
-        _emit("\n".join(lines) + "\n", args.out)
+    # an entry q^c is one of n + 1 values: each is rendered once, and a row
+    # is gathered from those texts by its exponents
+    powers = [_Factored((0,) * c + (1,), 1, ()) for c in range(args.n + 1)]
+    texts = [_value_text(args.format, q_c, 3) for q_c in powers]
+    rows = (list(map(texts.__getitem__, row)) for row in gram_exponents(args.n))
+    basis = enumerate_diagrams(args.n)
+    _emit(_matrix_chunks(args, basis, "entries", "G", rows), args.out)
     return 0
 
 
@@ -260,23 +243,11 @@ def _cmd_orthogonalize(args) -> int:
         return _fail(problem)
     if args.n < 1:
         return _fail("orthogonalize needs n >= 1")
-    if args.format == "json":
-        # every check runs here, before _emit opens --out or writes a byte
-        basis, rows = _checked_rows(args.n)
-        _emit(_iter_basis_json(args.n, basis, rows), args.out)
-        return 0
-    basis = change_of_basis(args.n)
-    if args.format == "csv":
-        text = basis.P.to_csv()
-        text += "<diagonal>," + ",".join(f'"{d}"' for d in basis.diagonal) + "\n"
-        _emit(text, args.out)
-    else:
-        lines = [f"n {args.n}", "basis: " + "; ".join(str(s) for s in basis.basis)]
-        for s, row in zip(basis.basis, basis.P.entries):
-            lines.append(f"P[{s}]: " + ", ".join(str(e) for e in row))
-        for s, d in zip(basis.basis, basis.diagonal):
-            lines.append(f"D[{s}]: {d}")
-        _emit("\n".join(lines) + "\n", args.out)
+    # every check runs here, before _emit opens --out or writes a byte
+    basis, stored = _checked_rows(args.n)
+    rows = _stored_rows(args.format, len(basis), stored)
+    diagonal = (_value_text(args.format, _predicted(s), 2) for s in basis)
+    _emit(_matrix_chunks(args, basis, "P", "P", rows, diagonal), args.out)
     return 0
 
 
@@ -286,9 +257,7 @@ def _cmd_verify(args) -> int:
         return _fail(problem)
     if args.n < 1:
         return _fail("verify needs n >= 1")
-    if args.det_oracle and args.n > DET_ORACLE_GUARDRAIL and (
-        args.max_n is None or args.n > args.max_n
-    ):
+    if args.det_oracle and _exceeds(args.n, DET_ORACLE_GUARDRAIL, args.max_n):
         return _fail(
             f"--det-oracle at n = {args.n} exceeds its guardrail "
             f"({DET_ORACLE_GUARDRAIL}); pass --max-n {args.n} to override"
@@ -300,7 +269,7 @@ def _cmd_verify(args) -> int:
         report.checks.append(det_oracle_check(args.n))
         report.checks.append(det_closed_form_check(args.n))
     if args.format == "json":
-        _emit(_iter_json(report.to_json_obj()), args.out)
+        _emit(_dump_json(report.to_json_obj()), args.out)
     else:
         _emit(report.to_text() + "\n", args.out)
     return 0 if report.passed else 1
@@ -322,7 +291,7 @@ def _cmd_chebyshev(args) -> int:
         if value is not None:
             obj["at"] = args.at
             obj["value"] = repr(value) if isinstance(value, float) else str(value)
-        _emit(_iter_json(obj), args.out)
+        _emit(_dump_json(obj), args.out)
     else:
         if value is None:
             _emit(f"{poly}\n", args.out)

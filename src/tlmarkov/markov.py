@@ -18,12 +18,12 @@ operator identities, exercised by the property suite:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType, SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Union
 
 from .diagrams import (
     Matching,
@@ -158,8 +158,10 @@ def _symmetries(partners: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _json_rows(rows: Iterable[Iterable[RationalFunction]]) -> list[list[dict]]:
-    """The to_json() of every entry, one dict object per distinct value, so a
-    renderer can render each value once."""
+    """The to_json() of every entry, one dict object per distinct value
+    shared by every entry that holds it: at size 8 the Gram matrix's
+    2,044,900 entries are then 16 MB of references to at most nine dicts,
+    where a dict per entry would take about 2 GB."""
     by_value: dict[RationalFunction, dict] = {}
     # entries are few objects and hashing one is slow, so look up by id first;
     # holding the entry keeps its id from being reused
@@ -220,37 +222,31 @@ class SquareMatrix:
 
     def to_csv(self) -> str:
         """Rows of rendered entries, labeled by the basis sequences."""
-        import csv  # here, so that commands which never render CSV do not load it
+        names = [str(s) for s in self.basis]
+        rows = ([s, *map(str, row)] for s, row in zip(names, self.entries))
+        return "".join(_csv_lines(chain([["", *names]], rows)))
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + [str(s) for s in self.basis])
-        for s, row in zip(self.basis, self.entries):
-            writer.writerow([str(s)] + [str(e) for e in row])
-        return buf.getvalue()
+
+def _csv_lines(rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """Each row as one line of CSV, as ``csv.writer`` writes it with "\\n"
+    line ends."""
+    import csv  # here, so that commands which never render CSV do not load it
+
+    # writerow returns what its file's write returns: here the line itself
+    return map(csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow, rows)
 
 
 def gram(n: int) -> SquareMatrix:
     """Gram matrix of the pairing over enumerate_diagrams(n).
 
-    Symmetric with diagonal q**n; filled for j >= i and mirrored.
+    Symmetric with diagonal q**n; an entry q**c is one of n + 1 values, one
+    object each, shared by every entry that holds it.
     """
     if n < 0:
         raise ValueError("diagram size must be >= 0")
-    basis = enumerate_diagrams(n)
-    exponents = gram_exponents(n)
-    cache: dict[int, RationalFunction] = {}
-    rows = []
-    for i in range(len(basis)):
-        row = []
-        for j in range(len(basis)):
-            c = exponents[i][j]
-            value = cache.get(c)
-            if value is None:
-                value = cache[c] = PairingValue(c).as_rational
-            row.append(value)
-        rows.append(tuple(row))
-    return SquareMatrix(basis, tuple(rows))
+    values = [PairingValue(c).as_rational for c in range(n + 1)]
+    rows = tuple(tuple(map(values.__getitem__, row)) for row in gram_exponents(n))
+    return SquareMatrix(enumerate_diagrams(n), rows)
 
 
 def _coerce_scalar(value: Scalar) -> RationalFunction:

@@ -35,11 +35,12 @@ by its sequence.  The builder, check (ii), the downset test and the
 orthogonality and diagonal checks read it by index.  Values cross to
 :class:`RationalFunction` only at the edges, once per distinct value:
 :func:`orthogonal_vector` wraps an entry into a :class:`DiagramVector` on
-first request, :func:`change_of_basis` (the text and CSV output) fills the
-rows of P by index, and a failure message converts the values it prints.  A
-passing check converts none, and neither does the JSON output of
-``orthogonalize``, which renders the checked rows (:func:`_checked_rows`)
-and the predicted diagonal from the factor-base values.
+first request, :func:`change_of_basis` fills the rows of P by index, and a
+failure message or the text and CSV output of ``orthogonalize`` converts
+the values it prints.  A passing check converts none, and neither does the
+JSON output of ``orthogonalize``.  In every format that command renders
+the checked rows (:func:`_checked_rows`) and the predicted diagonal from
+the factor-base values, and never builds the dense P.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -392,7 +393,9 @@ def change_of_basis(n: int) -> OrthoBasis:
 
     Each row of P is filled by index from the checked rows
     (:func:`_checked_rows`), and each distinct coefficient object is
-    converted to a RationalFunction once.
+    converted to a RationalFunction once.  This dense form is the public
+    data API and the tests' reference; the ``orthogonalize`` command writes
+    the checked rows without building it.
     """
     basis, stored_rows = _checked_rows(n)
     # the coefficients are few shared objects and hashing one is slow, so

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -10,11 +12,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from conftest import base_values, stored_vectors
 from tlmarkov import qpoly
-from tlmarkov.cli import _dump_json, _factored_json, _iter_basis_json, _iter_json, main
+from tlmarkov.cli import _dump_json, _factored_json, main
 from tlmarkov.diagrams import RestrictedSequence
 from tlmarkov.markov import DiagramVector, gram
 from tlmarkov.ortho import (
@@ -205,7 +206,7 @@ def test_orthogonalize_csv(capsys):
 
 def reference_text(value, depth):
     """The reference rendering of a factor-base value at depth: the
-    to_json() of its RationalFunction through _iter_json, indented."""
+    to_json() of its RationalFunction through the stdlib encoder, indented."""
     return _dump_json(_from_factored(value).to_json())[:-1].replace("\n", "\n" + "  " * depth)
 
 
@@ -232,15 +233,54 @@ def test_factored_json_of_values_in_normal_form(x):
         assert _factored_json(value, depth) == reference_text(value, depth)
 
 
-def test_orthogonalize_json_streams_one_chunk_per_row():
-    basis, rows = _checked_rows(3)
-    chunks = list(_iter_basis_json(3, basis, rows))
-    obj = change_of_basis(3).to_json()
-    assert "".join(chunks) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    # the opening, one chunk per row of P, and the rest of the document
-    assert len(chunks) == 1 + len(basis) + 1
-    for chunk, row in zip(chunks[1:], obj["P"]):
-        assert chunk.endswith(json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    "))
+def csv_line(row):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+def reference_document(command, n, fmt):
+    """The output of `command n --format fmt` and the text each row of the
+    matrix takes in it, built from the dense gram(n) or change_of_basis(n):
+    the stdlib encoder for JSON, and str of every entry for text and CSV."""
+    if command == "gram":
+        matrix, diagonal, label, key = gram(n), None, "G", "entries"
+        obj = matrix.to_json(n=n)
+    else:
+        result = change_of_basis(n)
+        matrix, diagonal, label, key = result.P, result.diagonal, "P", "P"
+        obj = result.to_json()
+    if fmt == "json":
+        rows = [json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ") for row in obj[key]]
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n", rows
+    names = [str(s) for s in matrix.basis]
+    entries = [[str(e) for e in row] for row in matrix.entries]
+    if fmt == "csv":
+        head = csv_line(["", *names])
+        rows = [csv_line([s, *row]) for s, row in zip(names, entries)]
+        tail = "" if diagonal is None else "<diagonal>," + ",".join(f'"{d}"' for d in diagonal) + "\n"
+    else:
+        head = f"n {n}\nbasis: " + "; ".join(names) + "\n"
+        rows = [f"{label}[{s}]: " + ", ".join(row) + "\n" for s, row in zip(names, entries)]
+        tail = "".join(f"D[{s}]: {d}\n" for s, d in zip(names, diagonal or ()))
+    return head + "".join(rows) + tail, rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("command", ["gram", "orthogonalize"])
+def test_matrix_output_streams_one_chunk_per_row(monkeypatch, command, fmt):
+    import tlmarkov.cli as cli_module
+
+    emitted = []
+    monkeypatch.setattr(cli_module, "_emit", lambda chunks, out: emitted.append(list(chunks)))
+    assert main([command, "3", "--format", fmt]) == 0
+    [chunks] = emitted
+    document, rows = reference_document(command, 3, fmt)
+    assert "".join(chunks) == document
+    # what comes before the rows, one chunk per row, and the rest
+    assert len(chunks) == 1 + len(rows) + 1
+    for chunk, row in zip(chunks[1:], rows):
+        assert chunk.endswith(row)
 
 
 def test_orthogonalize_json_converts_nothing(capsys):
@@ -264,19 +304,22 @@ def test_orthogonalize_json_converts_nothing(capsys):
     ],
 )
 def test_orthogonalize_json_checks_every_row_before_any_output(tmp_path, capsys, s, terms):
+    """In every format, not only JSON: the checks fail before --out is
+    opened or a byte is written."""
     seq = RestrictedSequence.parse
     corrupted = DiagramVector(3, {seq(t): c for t, c in terms.items()})
-    path = tmp_path / "p.json"
-    try:
-        with stored_vectors({seq(s): corrupted}, clear=True):
-            with pytest.raises(InternalCheckError):
-                main(["orthogonalize", "3", "--format", "json", "--out", str(path)])
-            with pytest.raises(InternalCheckError):
-                main(["orthogonalize", "3", "--format", "json"])
-    finally:
-        _clear_memos()
-    assert not path.exists()
-    assert capsys.readouterr().out == ""
+    for fmt in ("json", "text", "csv"):
+        path = tmp_path / f"p.{fmt}"
+        try:
+            with stored_vectors({seq(s): corrupted}, clear=True):
+                with pytest.raises(InternalCheckError):
+                    main(["orthogonalize", "3", "--format", fmt, "--out", str(path)])
+                with pytest.raises(InternalCheckError):
+                    main(["orthogonalize", "3", "--format", fmt])
+        finally:
+            _clear_memos()
+        assert not path.exists(), fmt
+        assert capsys.readouterr().out == "", fmt
 
 
 def test_verify_small_passes(capsys):
@@ -395,8 +438,10 @@ def test_out_write_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["orthogonalize", "gram"])
-@pytest.mark.parametrize("n", range(1, 6))
+MATRIX_CASES = [("gram", n) for n in range(7)] + [("orthogonalize", n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("n, command", [(n, command) for command, n in MATRIX_CASES])
 def test_json_output_is_the_stdlib_rendering(tmp_path, capsys, command, n):
     code, out, _ = run(capsys, command, str(n), "--format", "json")
     assert code == 0
@@ -408,41 +453,15 @@ def test_json_output_is_the_stdlib_rendering(tmp_path, capsys, command, n):
     assert path.read_bytes() == out.encode()
 
 
-def test_json_rows_are_streamed_one_chunk_each():
-    obj = change_of_basis(3).to_json()
-    chunks = list(_iter_json(obj))
-    assert "".join(chunks) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    # "{", then per key a separator and its value: each of the three lists
-    # of five rows as "[", separator and row for each row, "]"; "3" for n;
-    # then "}" and the final newline
-    assert len(chunks) == 1 + 3 * (1 + 1 + 2 * 5 + 1) + 2 + 1 + 1
-    for row in obj["P"]:
-        text = json.dumps(row, sort_keys=True, indent=2)
-        assert text.replace("\n", "\n    ") in chunks
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=24,
-)
-
-
-@given(json_values, st.dictionaries(st.text(), json_values, max_size=3))
-@example({}, {})
-@example([], {"": []})
-@example({"\u00e9\x00\n": ["\x1f\u2603\"\\", "\ud800"]}, {"k\t": {}})
-@example([1.5, -0.0, True, False, None, -3, float("nan"), float("-inf")], {"a": 1e300})
-def test_dump_json_matches_the_stdlib_encoder(value, shared):
-    # shared appears at two positions at depth 2 and once each at depths 1 and 4;
-    # value, when a dict, at depths 1 and 3
-    for obj in (
-        value,
-        [value, shared],
-        {"a": shared, "b": [shared, shared, [value, {"c": shared}]], "c": value},
-    ):
-        assert _dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("command, n", MATRIX_CASES)
+def test_text_and_csv_output_are_the_dense_rendering(tmp_path, capsys, command, n, fmt):
+    code, out, _ = run(capsys, command, str(n), "--format", fmt)
+    assert (code, out) == (0, reference_document(command, n, fmt)[0])
+    path = tmp_path / "out.txt"
+    code, _, _ = run(capsys, command, str(n), "--format", fmt, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
 
 
 def test_unknown_command_exits_2(capsys):
