@@ -40,7 +40,9 @@ failure message or the text and CSV output of ``orthogonalize`` converts
 the values it prints.  A passing check converts none, and neither does the
 JSON output of ``orthogonalize``.  In every format that command renders
 the checked rows (:func:`_checked_rows`) and the predicted diagonal from
-the factor-base values, and never builds the dense P.
+the factor-base values, and never builds the dense P.  It, too, checks the
+rows by the verifier's unitriangular and downset-support checks
+(:func:`_row_checks`).
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -67,11 +69,13 @@ Link (i) compares whole exponent rows, gathered through the lift table.
 Check (ii) evaluates each recursion keyed by diagram index and compares it
 with the stored vector as a whole.  The downset test packs each sequence
 into one integer with a guard bit above each entry, so a <= b is one
-subtraction.  The orthogonality check searches only the terms outside
-their downsets and the half-pairings below the triangle: with both checks
-passing, no pair shares a term, and any pair that does is found from those
-and gets its literal entry.  The predicted diagonal is one exponent vector
-over the Psi_d, already in normal form over the factor base.
+subtraction; the downset slots it reports are counted once per size, over
+the last entries of the pairs a <= b.  The orthogonality check searches
+only the terms outside their downsets and the half-pairings below the
+triangle: with both checks passing, no pair shares a term, and any pair
+that does is found from those and gets its literal entry.  The predicted
+diagonal is one exponent vector over the Psi_d, already in normal form over
+the factor base.
 
 :func:`bareiss_det` provides the independent determinant oracle, and
 :func:`det_product` the predicted product form; their exact agreement
@@ -122,9 +126,7 @@ from .markov import (
 from .qpoly import (
     _F_ONE,
     _F_ZERO,
-    _FROM_FACTORED,
     _PSI_POSITION,
-    _PSI_PRODUCTS,
     ONE,
     RF_ONE,
     RF_ZERO,
@@ -289,8 +291,8 @@ def _memo_sizes() -> dict[str, int]:
         "vectors": len(_VECTOR_CACHE),
         "wrapped": len(_WRAPPED),
         "levels": _level.cache_info().currsize,
-        "from_factored": len(_FROM_FACTORED),
-        "psi_products": len(_PSI_PRODUCTS),
+        "from_factored": _from_factored.cache_info().currsize,
+        "psi_products": _psi_power.cache_info().currsize,
     }
 
 
@@ -304,8 +306,8 @@ def _clear_memos() -> None:
         _VECTOR_CACHE.clear()
         _WRAPPED.clear()
         _level.cache_clear()
-        _FROM_FACTORED.clear()
-        _PSI_PRODUCTS.clear()
+        _from_factored.cache_clear()
+        _psi_power.cache_clear()
 
 
 def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
@@ -363,23 +365,18 @@ def _checked_rows(n: int) -> tuple[tuple[RestrictedSequence, ...], list[_Stored]
     """The basis of size n and the store's entry of each e'_a in basis
     order: the rows of P over the factor base.
 
-    Unitriangularity and downset support are asserted before returning; a
-    failure signals an implementation bug, never expected data.
+    The rows pass the verifier's unitriangular and downset-support checks
+    (:func:`_row_checks`) before returning; the first that fails raises
+    :class:`InternalCheckError` with its name and details, since a failure
+    signals an implementation bug, never expected data.
     """
     if n < 1:
         raise ValueError("change of basis needs n >= 1")
-    basis = enumerate_diagrams(n)
-    packed, guards = _packed(basis)
-    by_position = list(packed.values())
+    basis = _level(n).basis
     rows = [_stored(s) for s in basis]
-    for a, (s, row) in enumerate(zip(basis, rows)):
-        if _coefficient(row, a) != _F_ONE:
-            raise InternalCheckError(f"coefficient of {s} in e'_{s} is not 1")
-        outside = _outside_downset(a, row.indices, by_position, guards)
-        if outside:
-            raise InternalCheckError(
-                f"e'_{s} has support outside its downset: {basis[outside[0]]}"
-            )
+    for check in _row_checks(basis, rows)[0]:
+        if not check.passed:
+            raise InternalCheckError(f"{check.name}: {check.details}")
     return basis, rows
 
 
@@ -393,9 +390,10 @@ def change_of_basis(n: int) -> OrthoBasis:
 
     Each row of P is filled by index from the checked rows
     (:func:`_checked_rows`), and each distinct coefficient object is
-    converted to a RationalFunction once.  This dense form is the public
-    data API and the tests' reference; the ``orthogonalize`` command writes
-    the checked rows without building it.
+    converted to a RationalFunction once; rows that fail a check raise
+    :class:`InternalCheckError` first.  This dense form is the public data
+    API and the tests' reference; the ``orthogonalize`` command writes the
+    checked rows without building it.
     """
     basis, stored_rows = _checked_rows(n)
     # the coefficients are few shared objects and hashing one is slow, so
@@ -520,19 +518,22 @@ def _level(k: int) -> _Level:
     return _Level(basis, {s: i for i, s in enumerate(basis)}, matchings, lift)
 
 
-def _downset_size(b: RestrictedSequence) -> int:
-    """The number of diagrams a <= b, counted position by position by the
-    last entry of each prefix of a."""
-    counts = {1: 1}
-    for top in b.entries[1:]:
-        counts = {
-            v: sum(c for u, c in counts.items() if v <= u + 1)
-            for v in range(1, top + 1)
-        }
+def _downset_pairs(n: int) -> int:
+    """The number of pairs a <= b of diagrams of size n, the sum of the
+    downset sizes: both sequences grow together, one entry at a time, and
+    the pairs of prefixes are counted by their last entries (a_i, b_i)."""
+    counts = {(1, 1): 1}
+    for _ in range(n - 1):
+        grown: dict[tuple[int, int], int] = {}
+        for (u, w), c in counts.items():
+            for x in range(1, w + 2):
+                for v in range(1, min(u + 1, x) + 1):
+                    grown[v, x] = grown.get((v, x), 0) + c
+        counts = grown
     return sum(counts.values())
 
 
-def _packed(basis: Sequence[RestrictedSequence]) -> tuple[dict[RestrictedSequence, int], int]:
+def _packed(basis: Sequence[RestrictedSequence]) -> tuple[list[int], int]:
     """Each sequence of basis packed into one int, in basis order, and the
     mask of the guard bits.
 
@@ -545,20 +546,63 @@ def _packed(basis: Sequence[RestrictedSequence]) -> tuple[dict[RestrictedSequenc
     width = n.bit_length()
     stride = width + 1
     guards = sum(1 << (stride * i + width) for i in range(n))
-    packed = {s: sum(a << (stride * i) for i, a in enumerate(s.entries)) for s in basis}
+    packed = [sum(a << (stride * i) for i, a in enumerate(s.entries)) for s in basis]
     return packed, guards
 
 
-def _outside_downset(b, terms: Iterable, packed, guards: int) -> list:
-    """The terms t with t <= b false, in order, by one guard-bit subtraction
-    per term (:func:`_packed`); packed maps b and every term to its packed
-    int, by sequence or by basis position.  terms is read twice when one is
-    found."""
+def _outside_downset(b: int, terms: Sequence[int], packed: list[int], guards: int) -> list[int]:
+    """The basis positions t in terms with t <= b false, in order, by one
+    guard-bit subtraction per term (:func:`_packed`); b is a basis position
+    too.  terms is read twice when one is found."""
     top = packed[b] | guards
     gaps = map(top.__sub__, map(packed.__getitem__, terms))
     if functools.reduce(operator.and_, gaps, guards) == guards:
         return []
     return [t for t in terms if (top - packed[t]) & guards != guards]
+
+
+def _row_checks(
+    basis: Sequence[RestrictedSequence], rows: Sequence[_Stored]
+) -> tuple[list[CheckResult], list[tuple[int, int]]]:
+    """The two checks of the stored rows of P, each identity evaluated once:
+    ``unitriangular`` (P[a][a] = 1) and ``downset-support`` (every term of
+    e'_a lies in the downset of a), and the (row, term) basis positions
+    outside their downsets, in order.  With no term outside, the details
+    say whether the support fills every downset (:func:`_downset_pairs`).
+    """
+    start = time.perf_counter()
+    failures = [
+        str(s) for i, (s, row) in enumerate(zip(basis, rows)) if _coefficient(row, i) != _F_ONE
+    ]
+    unitriangular = CheckResult(
+        "unitriangular",
+        not failures,
+        time.perf_counter() - start,
+        f"bad rows: {failures}" if failures else f"P[a][a] = 1 for all {len(basis)} rows",
+    )
+
+    # one guard-bit subtraction per term
+    start = time.perf_counter()
+    packed, guards = _packed(basis)
+    outside = [
+        (i, t)
+        for i, row in enumerate(rows)
+        for t in _outside_downset(i, row.indices, packed, guards)
+    ]
+    support_total = sum(len(row.indices) for row in rows)
+    downset_total = _downset_pairs(len(basis[0].entries))
+    if outside:
+        details = "; ".join(f"e'_{basis[i]} contains {basis[t]}" for i, t in outside[:5])
+    else:
+        # observed strict converse: every downset element carries a nonzero
+        # coefficient (reported, not required)
+        details = f"{support_total} coefficients inside downsets" + (
+            "; support exactly fills every downset"
+            if support_total == downset_total
+            else f" (of {downset_total} downset slots)"
+        )
+    support = CheckResult("downset-support", not outside, time.perf_counter() - start, details)
+    return [unitriangular, support], outside
 
 
 def _heads(t: RestrictedSequence) -> range:
@@ -703,8 +747,8 @@ def _recursion_mismatches(n: int) -> list[str]:
     The recursion is evaluated over the factor base, keyed by diagram index
     as the store is, with its own memo of combined triples, and compared
     with the stored vector as a whole; only a vector that differs is
-    compared term by term, in basis order, for the report, and the stored
-    e'_(1) is wrapped only when it is not e_(1).
+    compared term by term with the evaluated recursion, in basis order, for
+    the report, and the stored e'_(1) is wrapped only when it is not e_(1).
     """
     bad = []
     _delta_exponents(n)  # the factor base holds every Psi_d of Delta_1..Delta_n
@@ -726,23 +770,16 @@ def _recursion_mismatches(n: int) -> list[str]:
                 a_idx += 1
                 stored = _stored(a)
                 got = dict(zip(stored.indices, stored.values))
-                lift = level.lift[h - 1]
-                lifted = dict(zip(map(lift.__getitem__, tail.indices), tail.values))
-                want = dict(lifted)
+                want = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
                 _recurse(combined, h, want, previous)
                 if want != got:
-                    recursion = f"l_{h}(e'_{t})"
+                    recursion = f"by l_{h}(e'_{t})"
                     if h > 1:
                         recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
-                    for i in sorted(got.keys() | lifted.keys() | previous.keys()):
-                        value = _combined(
-                            combined, h, lifted.get(i, _F_ZERO), previous.get(i, _F_ZERO)
-                        )
-                        if got.get(i, _F_ZERO) != value:
-                            bad.append(
-                                f"e'_{a} has {got.get(i, _F_ZERO)} != {value} "
-                                f"on e_{level.basis[i]} by {recursion}"
-                            )
+                    for i in sorted(got.keys() | want.keys()):
+                        x, y = got.get(i, _F_ZERO), want.get(i, _F_ZERO)
+                        if x != y:
+                            bad.append(f"e'_{a} has {x} != {y} on e_{level.basis[i]} {recursion}")
                 previous = got
     return bad
 
@@ -756,53 +793,9 @@ def verify_orthogonality(n: int) -> VerificationReport:
     basis = _level(n).basis
     size = len(basis)
     rows = [_stored(s) for s in basis]
-
-    # unitriangularity
-    start = time.perf_counter()
-    p_diagonal = [_coefficient(row, i) for i, row in enumerate(rows)]
-    failures = [str(basis[i]) for i, p in enumerate(p_diagonal) if p != _F_ONE]
-    report.checks.append(
-        CheckResult(
-            "unitriangular",
-            not failures,
-            time.perf_counter() - start,
-            f"P[a][a] = 1 for all {size} rows" if not failures else f"bad rows: {failures}",
-        )
-    )
-
-    # support inside the downset, one guard-bit subtraction per term
-    start = time.perf_counter()
-    packed, guards = _packed(basis)
-    by_position = list(packed.values())
-    outside = [
-        (i, t)
-        for i, row in enumerate(rows)
-        for t in _outside_downset(i, row.indices, by_position, guards)
-    ]
-    support_total = sum(len(row.indices) for row in rows)
-    downset_total = sum(_downset_size(b) for b in basis)
-    if outside:
-        details = "; ".join(f"e'_{basis[i]} contains {basis[t]}" for i, t in outside[:5])
-    elif support_total == downset_total:
-        # observed strict converse: every downset element carries a nonzero
-        # coefficient (reported, not required)
-        details = (
-            f"{support_total} coefficients inside downsets; support exactly "
-            "fills every downset"
-        )
-    else:
-        details = (
-            f"{support_total} coefficients inside downsets "
-            f"(of {downset_total} downset slots)"
-        )
-    report.checks.append(
-        CheckResult(
-            "downset-support",
-            not outside,
-            time.perf_counter() - start,
-            details,
-        )
-    )
+    row_checks, outside = _row_checks(basis, rows)
+    report.checks += row_checks
+    unitriangular = row_checks[0].passed
 
     # half-pairings H[b][a] = <e_b, e'_a> by the recursion.  Links (i) and
     # (ii) make H = G P^T for the stored vectors, by induction on the size:
@@ -896,7 +889,7 @@ def verify_orthogonality(n: int) -> VerificationReport:
 
     # diagonal formula; by the same two checks the only term of <e'_a, e'_a>
     # that can survive is P[a][a] * H[a][a], unless a row or a column of a
-    # breaks one of them
+    # breaks one of them; P[a][a] = 1 when the unitriangular check passed
     start = time.perf_counter()
     broken = {i for i, _ in outside} | {a for _, a in triangle}
     diag_bad: list[str] = []
@@ -904,8 +897,8 @@ def verify_orthogonality(n: int) -> VerificationReport:
         if i in broken:
             value = primed_pairing(i, i)
         else:
-            p, h = p_diagonal[i], half[i].get(i, _F_ZERO)
-            value = h if p == _F_ONE else p.times(h)
+            h = half[i].get(i, _F_ZERO)
+            value = h if unitriangular else _coefficient(rows[i], i).times(h)
         want = predicted[i]
         if value != want:
             diag_bad.append(f"<e'_{basis[i]}, e'_{basis[i]}> = {value} != {want}")

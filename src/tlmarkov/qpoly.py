@@ -19,6 +19,7 @@ and, writing ``q = 2*cos(t)``, the closed form ``Delta_k = sin((k+1)t)/sin(t)``
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -759,19 +760,10 @@ def _psi_product(exps: Sequence[int]) -> Polynomial:
 # the products made at the RationalFunction edge, the denominators of
 # converted values and the predicted diagonals: at size 7 the 980 distinct
 # coefficients of the vectors share 153 exponent vectors
-_PSI_PRODUCTS: dict[tuple[int, ...], Polynomial] = {}
-
-
+@functools.cache
 def _psi_power(exps: tuple[int, ...]) -> Polynomial:
     """prod_i Psi_i^exps[i], expanded once per exponent vector."""
-    product = _PSI_PRODUCTS.get(exps)
-    if product is None:
-        product = _PSI_PRODUCTS.setdefault(exps, _psi_product(exps))
-    return product
-
-
-# each distinct value is converted once, so it has one RationalFunction object
-_FROM_FACTORED: dict[_Factored, RationalFunction] = {}
+    return _psi_product(exps)
 
 
 def _to_factored(value: RationalFunction) -> _Factored | None:
@@ -797,14 +789,13 @@ def _to_factored(value: RationalFunction) -> _Factored | None:
     return _Factored(tuple(num), den, tuple(exps))
 
 
+# each distinct value is converted once (twice, to equal values, when two
+# threads race on its first conversion)
+@functools.cache
 def _from_factored(value: _Factored) -> RationalFunction:
     """The RationalFunction of a value in normal form."""
-    rf = _FROM_FACTORED.get(value)
-    if rf is None:
-        num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
-        rf = RationalFunction._from_normal(Polynomial(tuple(num)), _psi_power(value.exps))
-        rf = _FROM_FACTORED.setdefault(value, rf)
-    return rf
+    num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
+    return RationalFunction._from_normal(Polynomial(tuple(num)), _psi_power(value.exps))
 
 
 def eval_at(x, q0, *, pole_tolerance: float = 1e-12):

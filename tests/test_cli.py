@@ -24,6 +24,7 @@ from tlmarkov.ortho import (
     _clear_memos,
     _predicted,
     change_of_basis,
+    verify_orthogonality,
 )
 from tlmarkov.qpoly import (
     _F_ZERO,
@@ -290,7 +291,14 @@ def test_orthogonalize_json_converts_nothing(capsys):
     for n in range(1, 7):
         code, _, _ = run(capsys, "orthogonalize", str(n), "--format", "json")
         assert code == 0
-        assert not qpoly._FROM_FACTORED, n
+        assert not qpoly._from_factored.cache_info().currsize, n
+
+
+# the one row check each corrupted store below fails, with its details
+ROW_CHECK_FAILURES = {
+    "3,2,1": ("unitriangular", "bad rows: ['3,2,1']"),
+    "2,1,1": ("downset-support", "e'_2,1,1 contains 1,2,1"),
+}
 
 
 @pytest.mark.parametrize(
@@ -305,17 +313,30 @@ def test_orthogonalize_json_converts_nothing(capsys):
 )
 def test_orthogonalize_json_checks_every_row_before_any_output(tmp_path, capsys, s, terms):
     """In every format, not only JSON: the checks fail before --out is
-    opened or a byte is written."""
+    opened or a byte is written.  They are the verifier's row checks: the
+    store fails exactly one of them in verify_orthogonality, and the error
+    of change_of_basis and of the command is that check's name and details."""
     seq = RestrictedSequence.parse
     corrupted = DiagramVector(3, {seq(t): c for t, c in terms.items()})
+    name, details = ROW_CHECK_FAILURES[s]
+    try:
+        with stored_vectors({seq(s): corrupted}, clear=True):
+            checks = verify_orthogonality(3).checks[:2]
+            with pytest.raises(InternalCheckError) as raised:
+                change_of_basis(3)
+    finally:
+        _clear_memos()
+    assert [c.name for c in checks] == ["unitriangular", "downset-support"]
+    assert [(c.name, c.details) for c in checks if not c.passed] == [(name, details)]
+    assert str(raised.value) == f"{name}: {details}"
     for fmt in ("json", "text", "csv"):
         path = tmp_path / f"p.{fmt}"
         try:
             with stored_vectors({seq(s): corrupted}, clear=True):
-                with pytest.raises(InternalCheckError):
-                    main(["orthogonalize", "3", "--format", fmt, "--out", str(path)])
-                with pytest.raises(InternalCheckError):
-                    main(["orthogonalize", "3", "--format", fmt])
+                for out in (["--out", str(path)], []):
+                    with pytest.raises(InternalCheckError) as raised:
+                        main(["orthogonalize", "3", "--format", fmt, *out])
+                    assert str(raised.value) == f"{name}: {details}", fmt
         finally:
             _clear_memos()
         assert not path.exists(), fmt

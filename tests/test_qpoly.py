@@ -394,9 +394,8 @@ def test_psi_is_the_minimal_polynomial_of_2cos():
 
 
 def fresh_from_factored(value):
-    """_from_factored with the memo entry of value dropped first."""
-    qpoly._FROM_FACTORED.pop(value, None)
-    return _from_factored(value)
+    """_from_factored of value, converted afresh rather than read from the memo."""
+    return _from_factored.__wrapped__(value)
 
 
 @given(base_values())
