@@ -32,7 +32,6 @@ def main() -> int:
         default=0,
         help="also run the modular determinant oracle up to this size",
     )
-    parser.add_argument("--skip-fixtures", action="store_true")
     args = parser.parse_args()
 
     all_passed = True
@@ -53,12 +52,11 @@ def main() -> int:
                   f"{'ok' if check.passed else 'FAILED: ' + check.details}")
             all_passed = all_passed and check.passed
 
-    if not args.skip_fixtures:
-        fixtures = check_fixture_bases()
-        print(fixtures.to_text())
-        # the opposite-side table ships with its printed sign misprint
-        # corrected; the report still diagnoses the table as printed
-        all_passed = all_passed and fixtures.passed
+    fixtures = check_fixture_bases()
+    print(fixtures.to_text())
+    # the opposite-side table ships with its printed sign misprint
+    # corrected; the report still diagnoses the table as printed
+    all_passed = all_passed and fixtures.passed
 
     return 0 if all_passed else 1
 

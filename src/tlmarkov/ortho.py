@@ -70,10 +70,11 @@ Check (ii) evaluates each recursion keyed by diagram index and compares it
 with the stored vector as a whole.  The downset test packs each sequence
 into one integer with a guard bit above each entry, so a <= b is one
 subtraction; the downset slots it reports are counted once per size, over
-the last entries of the pairs a <= b.  The orthogonality check searches
-only the terms outside their downsets and the half-pairings below the
-triangle: with both checks passing, no pair shares a term, and any pair
-that does is found from those and gets its literal entry.  The predicted
+the last entries of the pairs a <= b.  The orthogonality and diagonal
+checks share one rule: an entry of the primed Gram matrix can differ from
+its value on a passing run only if its row fails a row check or its column
+breaks the triangle, so only the entries that touch such a row or column
+are expanded, and on a passing run none is.  The predicted
 diagonal is one exponent vector over the Psi_d, already in normal form over
 the factor base.
 
@@ -563,22 +564,23 @@ def _outside_downset(b: int, terms: Sequence[int], packed: list[int], guards: in
 
 def _row_checks(
     basis: Sequence[RestrictedSequence], rows: Sequence[_Stored]
-) -> tuple[list[CheckResult], list[tuple[int, int]]]:
+) -> tuple[list[CheckResult], set[int]]:
     """The two checks of the stored rows of P, each identity evaluated once:
     ``unitriangular`` (P[a][a] = 1) and ``downset-support`` (every term of
-    e'_a lies in the downset of a), and the (row, term) basis positions
-    outside their downsets, in order.  With no term outside, the details
-    say whether the support fills every downset (:func:`_downset_pairs`).
+    e'_a lies in the downset of a), and the basis positions of the rows that
+    fail either.  A row that passes both has P[a][a] = 1 and no term ranked
+    after a in the head-major order.  With no term outside, the details say
+    whether the support fills every downset (:func:`_downset_pairs`).
     """
     start = time.perf_counter()
-    failures = [
-        str(s) for i, (s, row) in enumerate(zip(basis, rows)) if _coefficient(row, i) != _F_ONE
-    ]
+    failures = [i for i, row in enumerate(rows) if _coefficient(row, i) != _F_ONE]
     unitriangular = CheckResult(
         "unitriangular",
         not failures,
         time.perf_counter() - start,
-        f"bad rows: {failures}" if failures else f"P[a][a] = 1 for all {len(basis)} rows",
+        f"bad rows: {[str(basis[i]) for i in failures]}"
+        if failures
+        else f"P[a][a] = 1 for all {len(basis)} rows",
     )
 
     # one guard-bit subtraction per term
@@ -602,7 +604,7 @@ def _row_checks(
             else f" (of {downset_total} downset slots)"
         )
     support = CheckResult("downset-support", not outside, time.perf_counter() - start, details)
-    return [unitriangular, support], outside
+    return [unitriangular, support], {*failures, *(i for i, _ in outside)}
 
 
 def _heads(t: RestrictedSequence) -> range:
@@ -793,9 +795,8 @@ def verify_orthogonality(n: int) -> VerificationReport:
     basis = _level(n).basis
     size = len(basis)
     rows = [_stored(s) for s in basis]
-    row_checks, outside = _row_checks(basis, rows)
+    row_checks, broken = _row_checks(basis, rows)
     report.checks += row_checks
-    unitriangular = row_checks[0].passed
 
     # half-pairings H[b][a] = <e_b, e'_a> by the recursion.  Links (i) and
     # (ii) make H = G P^T for the stored vectors, by induction on the size:
@@ -835,10 +836,15 @@ def verify_orthogonality(n: int) -> VerificationReport:
         )
     )
 
-    # orthogonality: every off-diagonal entry of the primed Gram matrix is a
-    # finite sum of coefficient * half-pairing terms; expanding through the
-    # lex-smaller argument, every term was verified zero above
+    # Expand every entry of the primed Gram matrix through the lex-smaller
+    # index: <e'_lo, e'_hi> = sum_t P[lo][t] H[t][hi].  A row that passes the
+    # row checks has P[lo][lo] = 1 and no term ranked after lo, and a column
+    # that keeps the triangle has no nonzero row ranked before hi.  So an
+    # entry can differ from its value on a passing run (0 off the diagonal,
+    # H[a][a] on it) only if its row or its column is broken: those entries
+    # alone get the literal sum, which the full expansion computes.
     start = time.perf_counter()
+    broken.update(a for _, a in triangle)
 
     def primed_pairing(lo: int, hi: int) -> _Factored:
         # <e'_lo, e'_hi> = 0 - (0 - sum_t P[lo][t] * H[t][hi]), t surviving
@@ -848,32 +854,11 @@ def verify_orthogonality(n: int) -> VerificationReport:
             negated = negated.minus(coeffs[t].times(column[t]))
         return _F_ZERO.minus(negated)
 
-    # A term t of e'_lo inside its downset has rank(t) <= rank(lo), and a
-    # nonzero row t of column hi that keeps the triangle has
-    # rank(t) >= rank(hi).  So e'_lo and column hi, rank(lo) < rank(hi),
-    # share a term only through a term outside its downset or an entry that
-    # breaks the triangle: the pairs are found from those alone, and each
-    # gets the literal entry the full expansion computes.
-    shared: set[tuple[int, int]] = set()
-    if outside:
-        columns_of: dict[int, list[int]] = {}
-        for a_idx, column in enumerate(half):
-            for b_idx in column:
-                columns_of.setdefault(b_idx, []).append(a_idx)
-        for lo, t in outside:
-            shared.update((lo, hi) for hi in columns_of.get(t, ()) if rank[lo] < rank[hi])
-    if triangle:
-        rows_of: dict[int, list[int]] = {}
-        for lo, row in enumerate(rows):
-            for t in row.indices:
-                rows_of.setdefault(t, []).append(lo)
-        for t, hi in triangle:
-            shared.update((lo, hi) for lo in rows_of.get(t, ()) if rank[lo] < rank[hi])
     ortho_bad: list[str] = []
-    for lo, hi in sorted(shared, key=sorted):
-        value = primed_pairing(lo, hi)
+    pairs = {(min(b, c), max(b, c)) for b in broken for c in range(size) if c != b}
+    for i, j in sorted(pairs):
+        value = primed_pairing(*sorted((i, j), key=rank.__getitem__))
         if value.num:
-            i, j = sorted((lo, hi))
             for x, y in ((i, j), (j, i)):
                 ortho_bad.append(f"<e'_{basis[x]}, e'_{basis[y]}> = {value} (expected 0)")
     report.checks.append(
@@ -887,18 +872,11 @@ def verify_orthogonality(n: int) -> VerificationReport:
         )
     )
 
-    # diagonal formula; by the same two checks the only term of <e'_a, e'_a>
-    # that can survive is P[a][a] * H[a][a], unless a row or a column of a
-    # breaks one of them; P[a][a] = 1 when the unitriangular check passed
+    # diagonal formula: H[a][a] unless the row or the column of a is broken
     start = time.perf_counter()
-    broken = {i for i, _ in outside} | {a for _, a in triangle}
     diag_bad: list[str] = []
     for i in range(size):
-        if i in broken:
-            value = primed_pairing(i, i)
-        else:
-            h = half[i].get(i, _F_ZERO)
-            value = h if unitriangular else _coefficient(rows[i], i).times(h)
+        value = primed_pairing(i, i) if i in broken else half[i].get(i, _F_ZERO)
         want = predicted[i]
         if value != want:
             diag_bad.append(f"<e'_{basis[i]}, e'_{basis[i]}> = {value} != {want}")

@@ -488,6 +488,40 @@ def test_orthogonality_and_diagonal_match_the_full_expansion(data):
         assert checks["diagonal-formula"].details == want_diag
 
 
+def test_three_kinds_of_break_at_once_match_the_full_expansion(monkeypatch):
+    """At n = 5, a term outside its downset in one row, P[a][a] = 2 in a
+    second row and a half-pairing below the triangle in a third column: the
+    orthogonality and diagonal checks report what the expansion over every
+    pair gives."""
+    from tlmarkov import ortho as ortho_module
+
+    n = 5
+    basis = enumerate_diagrams(n)
+    rows = [orthogonal_vector(s) for s in basis]
+    outside, term = basis.index(seq("2,2,1,1,1")), seq("2,2,2,1,1")
+    assert not leq(term, basis[outside]) and term.head_first > basis[outside].head_first
+    rows[outside] = DiagramVector(n, {**rows[outside].coeffs, term: INV_Q})
+    scaled = basis.index(seq("3,2,2,1,1"))
+    rows[scaled] = DiagramVector(n, {**rows[scaled].coeffs, basis[scaled]: rf((2,))})
+    below, column = basis.index(seq("1,1,1,1,1")), basis.index(seq("4,3,2,1,1"))
+    half = _half_pairings(n)
+    assert below not in half[column]
+    half[column][below] = _to_factored(INV_Q)
+    want_ortho, want_diag = _literal_entries(basis, rows, half)
+    assert want_ortho and want_diag
+    true_half_pairings = ortho_module._half_pairings
+    monkeypatch.setattr(
+        ortho_module, "_half_pairings", lambda k: half if k == n else true_half_pairings(k)
+    )
+    with stored_vectors(zip(basis, rows)):
+        checks = {c.name: c for c in verify_orthogonality(n).checks}
+    assert checks["unitriangular"].details == "bad rows: ['3,2,2,1,1']"
+    assert checks["downset-support"].details == "e'_2,2,1,1,1 contains 2,2,2,1,1"
+    assert "<e_1,1,1,1,1, e'_4,3,2,1,1> = 1/q (expected 0)" in checks["half-pairing"].details
+    assert checks["orthogonality"].details == want_ortho
+    assert checks["diagonal-formula"].details == want_diag
+
+
 def _checks_with(sequence, corrupted, n):
     with _with_corrupted_vector(sequence, corrupted):
         report = verify_orthogonality(n)

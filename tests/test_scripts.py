@@ -40,7 +40,6 @@ def test_run_verification_checks_the_closed_form_at_every_size():
             str(ROOT / "scripts" / "run_verification.py"),
             "--max-n",
             "4",
-            "--skip-fixtures",
         ],
         capture_output=True,
         text=True,
