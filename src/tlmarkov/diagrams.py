@@ -14,7 +14,8 @@ The module implements the insertion operator ``l_k`` (:func:`insert_arc`), the
 contraction ``tau_k`` (:func:`contract`), enumeration in the canonical basis
 order, the coordinate-wise partial order on sequences, quad moves (the
 0-surgery replacing a nested parent/child arc pair by a side-by-side pair),
-and Hasse-diagram export.
+and Hasse-diagram export.  Each size's diagrams are one table (:func:`_level`),
+built from the size below, which every other module reads.
 
 There are Catalan(n) diagrams of size n.  The depth of an arc - one plus the
 number of arcs strictly over it - recovers the restricted sequence, which the
@@ -23,6 +24,7 @@ test suite uses as an independent oracle for :func:`matching_to_seq`.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -278,27 +280,79 @@ def enumerate_diagrams(n: int) -> tuple[RestrictedSequence, ...]:
     """All restricted sequences of length n in the canonical basis order.
 
     The order is lexicographic on the insertion-order tuple (a_1, a_2, ...),
-    and the count is the nth Catalan number.
+    and the count is the nth Catalan number; the tuple is ``_level(n).basis``.
     """
-    if n < 0:
+    return _level(n).basis
+
+
+def _heads(t: RestrictedSequence) -> range:
+    """The heads h with (t, h) a restricted sequence."""
+    return range(1, t.entries[-1] + 2 if t.entries else 2)
+
+
+def _partners(m: Matching) -> tuple[int, ...]:
+    """The partner tuple of m on the 0-based points 0..2n-1."""
+    return tuple(p - 1 for p in m.partner)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The diagrams of size k and how they arise from those of size k - 1.
+
+    ``basis`` (B_k) lists (t, h) for each tail t of B_{k-1} in order and each
+    head h of t (:func:`_heads`) in turn: the canonical order by construction.
+    The rest is built on first use: ``index`` maps each diagram to its
+    position, ``matchings`` each diagram's matching (one :func:`insert_arc`
+    from its tail's) in the same order, and ``partners`` lists their 0-based
+    partner tuples.  ``lift[h - 1][u]`` is the index of l_h(u) for the u-th
+    diagram of B_{k-1}; ``contract[b][h - 1]`` is ``(u, c)`` with u the index
+    of tau_h(b) in B_{k-1} and c the loops the contraction closes.
+    """
+
+    k: int
+    basis: tuple[RestrictedSequence, ...]
+
+    @functools.cached_property
+    def index(self) -> dict[RestrictedSequence, int]:
+        return {s: i for i, s in enumerate(self.basis)}
+
+    @functools.cached_property
+    def matchings(self) -> dict[Matching, int]:
+        if not self.k:
+            return {Matching.empty(): 0}
+        below = _level(self.k - 1)
+        tails = zip(below.matchings, below.basis)
+        images = (insert_arc(m, h) for m, t in tails for h in _heads(t))
+        return {m: i for i, m in enumerate(images)}
+
+    @functools.cached_property
+    def partners(self) -> list[tuple[int, ...]]:
+        return list(map(_partners, self.matchings))
+
+    @functools.cached_property
+    def lift(self) -> tuple[tuple[int, ...], ...]:
+        below = _level(self.k - 1).matchings if self.k else {}
+        heads = range(1, self.k + 1)
+        return tuple(tuple(self.matchings[insert_arc(m, h)] for m in below) for h in heads)
+
+    @functools.cached_property
+    def contract(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # only the verifier reads it, so orthogonalize never builds it
+        below = _level(self.k - 1).matchings if self.k else {}
+        images = ([contract(m, h) for h in range(1, self.k + 1)] for m in self.matchings)
+        return tuple(tuple((below[image], loops) for image, loops in row) for row in images)
+
+
+@functools.cache
+def _level(k: int) -> _Level:
+    """The tables of size k, built once from those of size k - 1;
+    ``_level.cache_clear()`` drops them."""
+    if k < 0:
         raise ValueError("diagram size must be >= 0")
-    if n == 0:
-        return (RestrictedSequence(()),)
-    out: list[RestrictedSequence] = []
-    prefix: list[int] = []
-
-    def extend() -> None:
-        if len(prefix) == n:
-            out.append(RestrictedSequence(tuple(prefix)))
-            return
-        top = prefix[-1] + 1 if prefix else 1
-        for value in range(1, top + 1):
-            prefix.append(value)
-            extend()
-            prefix.pop()
-
-    extend()
-    return tuple(out)
+    if not k:
+        return _Level(0, (RestrictedSequence(()),))
+    tails = _level(k - 1).basis
+    return _Level(k, tuple(RestrictedSequence(t.entries + (h,)) for t in tails for h in _heads(t)))
 
 
 def leq(a: RestrictedSequence, b: RestrictedSequence) -> bool:

@@ -28,6 +28,8 @@ from typing import Iterable, Iterator, Mapping, Union
 from .diagrams import (
     Matching,
     RestrictedSequence,
+    _level,
+    _partners,
     enumerate_diagrams,
     insert_arc,
     matching_to_seq,
@@ -70,11 +72,6 @@ class PairingValue:
         return str(self.monomial)
 
 
-def _partners(m: Matching) -> tuple[int, ...]:
-    """The partner tuple of m on the 0-based points 0..2n-1."""
-    return tuple(p - 1 for p in m.partner)
-
-
 def _circles(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """The circles of a glued to the mirror of b, given as 0-based partner
     tuples: each circle alternates an arc of a and an arc of b, and is walked
@@ -108,7 +105,9 @@ def pair_diagrams(a: Matching, b: Matching) -> PairingValue:
 
 def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
     """Pairing exponents over enumerate_diagrams(n); the fast integer form of
-    the Gram matrix used by verification and the determinant oracle.
+    the Gram matrix used by verification and the determinant oracle.  The
+    diagrams are read as the partner tuples of the level table of size n
+    (:func:`diagrams._level`), built once per process.
 
     Conjugating both matchings of a glued pair by one permutation of the 2n
     points keeps the circle count, and a rotation or a reflection of the
@@ -119,7 +118,7 @@ def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
     does not walk, the table rests on that rotation and reflection lemma;
     the tests compare it with the full walk on every pair for n <= 7.
     """
-    partners = [_partners(seq_to_matching(s)) for s in enumerate_diagrams(n)]
+    partners = _level(n).partners
     rows: list[tuple[int, ...] | None] = [None] * len(partners)
     symmetries = _symmetries(partners)
     # row g a at j is row a at g^-1 j: a gather through the inverse permutation

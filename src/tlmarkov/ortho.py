@@ -18,8 +18,8 @@ entries are the products of Chebyshev quotients
 The vectors are built all of one size at once from those one size down, and
 each coefficient of the recursion is computed once per distinct
 (h, lifted, previous) triple of coefficients.  The builder and the verifier
-read one table of l_h and tau_h images per size (:func:`_level`), built once
-per process; each image is found by its :class:`Matching`.
+read the l_h and tau_h images by index from the per-size tables of
+:func:`diagrams._level`, built once per process from the size below.
 
 Since G = L D L^T with P = L^-1 unitriangular, every denominator in P and in
 the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
@@ -106,19 +106,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .diagrams import (
-    Matching,
-    RestrictedSequence,
-    contract,
-    enumerate_diagrams,
-    insert_arc,
-    seq_to_matching,
-)
+from .diagrams import RestrictedSequence, _heads, _level, enumerate_diagrams
 from .markov import (
     DiagramVector,
     SquareMatrix,
     _json_rows,
-    _partners,
     _symmetries,
     gram,
     gram_exponents,
@@ -298,8 +290,9 @@ def _memo_sizes() -> dict[str, int]:
 
 
 def _clear_memos() -> None:
-    """Drop the vector store and its wrappers, the level tables, the
-    RationalFunctions of the factor-base values and the Psi products.
+    """Drop the vector store and its wrappers, the level tables (and the
+    enumeration they hold), the RationalFunctions of the factor-base values
+    and the Psi products.
 
     The factor base itself stays, so its positions stay stable.
     """
@@ -475,50 +468,6 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Level:
-    """The diagrams of size k and how they arise from those of size k - 1.
-
-    ``index`` maps each diagram of ``basis`` (B_k) to its position, and
-    ``matchings`` each diagram's matching, in the same order.
-    ``lift[h - 1][u]`` is the index of l_h(u) in B_k for the u-th diagram of
-    B_{k-1}; ``contract[b][h - 1]`` is ``(u, c)`` with u the index of
-    tau_h(b) in B_{k-1} and c the loops the contraction closes.  Heads run
-    over 1..k.
-    """
-
-    basis: tuple[RestrictedSequence, ...]
-    index: dict[RestrictedSequence, int]
-    matchings: dict[Matching, int]
-    lift: tuple[tuple[int, ...], ...]
-
-    @functools.cached_property
-    def contract(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # only the verifier reads it, so orthogonalize never builds it
-        k = len(self.lift)
-        below = _level(k - 1).matchings if k else {}
-        rows = []
-        for m in self.matchings:
-            row = []
-            for h in range(1, k + 1):
-                image, loops = contract(m, h)
-                row.append((below[image], loops))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-
-@functools.cache
-def _level(k: int) -> _Level:
-    """The tables of size k, built once; ``_level.cache_clear()`` drops them."""
-    basis = enumerate_diagrams(k)
-    matchings = {seq_to_matching(s): i for i, s in enumerate(basis)}
-    below = _level(k - 1).matchings if k else {}
-    lift = tuple(
-        tuple(matchings[insert_arc(m, h)] for m in below) for h in range(1, k + 1)
-    )
-    return _Level(basis, {s: i for i, s in enumerate(basis)}, matchings, lift)
-
-
 def _downset_pairs(n: int) -> int:
     """The number of pairs a <= b of diagrams of size n, the sum of the
     downset sizes: both sequences grow together, one entry at a time, and
@@ -607,11 +556,6 @@ def _row_checks(
     return [unitriangular, support], {*failures, *(i for i, _ in outside)}
 
 
-def _heads(t: RestrictedSequence) -> range:
-    """The heads h with (t, h) a restricted sequence."""
-    return range(1, t.entries[-1] + 2 if t.entries else 2)
-
-
 @functools.cache
 def _ratio(h: int) -> _Factored:
     """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h);
@@ -679,7 +623,6 @@ def _half_pairings(n: int) -> list[dict[int, _Factored]]:
         for b, row in enumerate(level.contract):
             for h, (u, loops) in enumerate(row):
                 preimages[h][u].append((b, loops))
-        # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
         upper: list[dict[int, _Factored]] = []
         for t_idx, t in enumerate(below):
             previous: dict[int, _Factored] = {}
@@ -762,14 +705,12 @@ def _recursion_mismatches(n: int) -> list[str]:
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
     for k in range(2, n + 1):
         below, level = _level(k - 1), _level(k)
-        # B_k lists each (t, h) after (t, h - 1), tails in the order of B_{k-1}
-        a_idx = 0
+        diagrams = iter(level.basis)
         for t in below.basis:
             tail = _stored(t)
             previous: dict[int, _Factored] = {}
             for h in _heads(t):
-                a = level.basis[a_idx]
-                a_idx += 1
+                a = next(diagrams)
                 stored = _stored(a)
                 got = dict(zip(stored.indices, stored.values))
                 want = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
@@ -846,9 +787,13 @@ def verify_orthogonality(n: int) -> VerificationReport:
     start = time.perf_counter()
     broken.update(a for _, a in triangle)
 
+    @functools.cache
+    def terms(i: int) -> dict[int, _Factored]:
+        return dict(zip(rows[i].indices, rows[i].values))
+
     def primed_pairing(lo: int, hi: int) -> _Factored:
         # <e'_lo, e'_hi> = 0 - (0 - sum_t P[lo][t] * H[t][hi]), t surviving
-        coeffs, column = dict(zip(rows[lo].indices, rows[lo].values)), half[hi]
+        coeffs, column = terms(lo), half[hi]
         negated = _F_ZERO
         for t in coeffs.keys() & column.keys():
             negated = negated.minus(coeffs[t].times(column[t]))
@@ -1204,7 +1149,7 @@ def det_oracle_check(n: int) -> CheckResult:
     start = time.perf_counter()
     matrix = gram(n)
     rows, basis = _polynomial_rows(matrix), matrix.basis
-    perms = _symmetries([_partners(seq_to_matching(s)) for s in basis])
+    perms = _symmetries(_level(n).partners)
     # only the identity for a single diagram
     sigma, rho = (perms[2 * n], perms[n]) if len(perms) > 1 else perms * 2
     for name, g in (("mirror", sigma), ("half-turn", rho)):

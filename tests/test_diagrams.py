@@ -1,5 +1,6 @@
 """Chord diagram encodings, operations, order, and quad moves."""
 
+import itertools
 import math
 
 import pytest
@@ -24,6 +25,7 @@ from tlmarkov.diagrams import (
     quad_reachable,
     quad_sites,
     seq_to_matching,
+    _level,
     validate_restricted,
 )
 
@@ -154,6 +156,32 @@ def test_enumeration_counts_are_catalan(n):
 @given(restricted_sequences(max_size=7))
 def test_enumeration_is_complete(s):
     assert s in enumerate_diagrams(s.size)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_enumeration_is_the_sorted_brute_force(n):
+    """Reference oracle: every tuple over 1..n with a_1 = 1 and
+    a_{i+1} <= a_i + 1, sorted, independently of the level tables."""
+    tuples = itertools.product(range(1, n + 1), repeat=n)
+    valid = [e for e in tuples if all(a <= b + 1 for b, a in zip((0,) + e, e))]
+    assert [s.entries for s in enumerate_diagrams(n)] == sorted(valid)
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_enumeration_is_strictly_increasing(n):
+    basis = enumerate_diagrams(n)
+    assert all(a < b for a, b in zip(basis, basis[1:]))
+
+
+def test_enumeration_builds_no_matching():
+    """The basis of each size is built from the one below; the matchings and
+    the tables read from them wait for their first use."""
+    _level.cache_clear()
+    enumerate_diagrams(6)
+    assert _level.cache_info().currsize == 7
+    for k in range(7):
+        built = vars(_level(k))
+        assert not {"matchings", "partners", "lift", "contract"} & built.keys(), k
 
 
 # ---------------------------------------------------------------------------

@@ -780,6 +780,8 @@ def test_level_tables_match_the_sequence_route(k):
     level = _level(k)
     basis = enumerate_diagrams(k)
     assert level.basis == basis
+    assert list(level.matchings) == [seq_to_matching(s) for s in basis]
+    assert level.partners == [_partners(m) for m in level.matchings]
     index = {s: i for i, s in enumerate(basis)}
     below = enumerate_diagrams(k - 1) if k else ()
     below_index = {s: i for i, s in enumerate(below)}
