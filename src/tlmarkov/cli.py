@@ -112,18 +112,16 @@ def _matrix_chunks(args, basis, key: str, label: str, rows, diagonal=None) -> It
 
 def _stored_rows(fmt: str, size: int, stored: Iterable[_Stored]) -> Iterator[list[str]]:
     """The rows of P as entry texts, from the store's rows: each distinct
-    coefficient object is rendered once, and each row is the zero entry's
-    text with the nonzero entries set by index."""
+    coefficient is rendered once, and each row is the zero entry's text with
+    the nonzero entries set by index."""
     zero = _value_text(fmt, _F_ZERO, 3)
-    # looked up by id, since hashing a coefficient is slow; the rows hold
-    # every object, so no id is reused
-    texts: dict[int, str] = {}
+    texts: dict[_Factored, str] = {}
     for indices, values in stored:
         row = [zero] * size
         for i, value in zip(indices, values):
-            text = texts.get(id(value))
+            text = texts.get(value)
             if text is None:
-                text = texts[id(value)] = _value_text(fmt, value, 3)
+                text = texts[value] = _value_text(fmt, value, 3)
             row[i] = text
         yield row
 

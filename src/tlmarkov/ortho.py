@@ -75,8 +75,7 @@ checks share one rule: an entry of the primed Gram matrix can differ from
 its value on a passing run only if its row fails a row check or its column
 breaks the triangle, so only the entries that touch such a row or column
 are expanded, and on a passing run none is.  The predicted
-diagonal is one exponent vector over the Psi_d, already in normal form over
-the factor base.
+diagonal is one exponent vector over the Psi_d.
 
 :func:`bareiss_det` provides the independent determinant oracle, and
 :func:`det_product` the predicted product form; their exact agreement
@@ -262,10 +261,9 @@ def _build_level(k: int) -> None:
     _delta_exponents(k)  # the factor base holds every Psi_d of Delta_1..Delta_k
     tails = [_stored(t) if t.size else _UNIT for t in below.basis]
     # the coefficients repeat: the 40,898 terms of size 7 hold 2,974 triples.
-    # Seeded with the values one size down, one object each, so equal values
-    # of the level are one object too (:func:`_combined`)
-    objects = {id(v): v for tail in tails for v in tail.values}
-    combined: dict = {v: v for v in objects.values()}
+    # Seeded with the values one size down, so equal values of the level are
+    # one object too (:func:`_combined`)
+    combined: dict = {v: v for tail in tails for v in tail.values}
     for t, tail in zip(below.basis, tails):
         previous: Mapping[int, _Factored] = {}
         for h in _heads(t):
@@ -312,11 +310,10 @@ def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
 
 def _predicted(s: RestrictedSequence) -> _Factored:
     """The predicted self-pairing over the factor base, from its net
-    exponents: the Psi_d are distinct monic irreducibles, so the product of
-    the positive powers over the negative ones is already in normal form."""
+    exponents: the product of the positive powers over the negative ones."""
     exponents = _quotient_exponents(s.entries)
     num = _psi_power(tuple(max(e, 0) for e in exponents))
-    return _normal(list(num.coeffs), 1, [max(-e, 0) for e in exponents], ())
+    return _normal(list(num.coeffs), 1, [max(-e, 0) for e in exponents])
 
 
 def _quotient_exponents(entries: Iterable[int]) -> list[int]:
@@ -383,24 +380,21 @@ def change_of_basis(n: int) -> OrthoBasis:
     """Stack the orthogonal vectors over the canonical basis order.
 
     Each row of P is filled by index from the checked rows
-    (:func:`_checked_rows`), and each distinct coefficient object is
-    converted to a RationalFunction once; rows that fail a check raise
+    (:func:`_checked_rows`), and each distinct coefficient is converted to a
+    RationalFunction once; rows that fail a check raise
     :class:`InternalCheckError` first.  This dense form is the public data
     API and the tests' reference; the ``orthogonalize`` command writes the
     checked rows without building it.
     """
     basis, stored_rows = _checked_rows(n)
-    # the coefficients are few shared objects and hashing one is slow, so
-    # each is converted once, looked up by id; the rows hold every object,
-    # so no id is reused
-    converted: dict[int, RationalFunction] = {}
+    converted: dict[_Factored, RationalFunction] = {}
     rows = []
     for stored in stored_rows:
         row = [RF_ZERO] * len(basis)
         for i, value in zip(stored.indices, stored.values):
-            rf = converted.get(id(value))
+            rf = converted.get(value)
             if rf is None:
-                rf = converted[id(value)] = _from_factored(value)
+                rf = converted[value] = _from_factored(value)
             row[i] = rf
         rows.append(tuple(row))
     P = SquareMatrix(basis, tuple(rows))
@@ -558,9 +552,8 @@ def _row_checks(
 
 @functools.cache
 def _ratio(h: int) -> _Factored:
-    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h);
-    consecutive Delta are coprime."""
-    return _Factored(chebyshev(h - 2).coeffs, 1, _delta_exponents(h - 1))
+    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h)."""
+    return _normal(list(chebyshev(h - 2).coeffs), 1, list(_delta_exponents(h - 1)))
 
 
 def _combined(

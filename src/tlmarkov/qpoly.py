@@ -68,17 +68,8 @@ def _exactify(c) -> Scalar:
     raise TypeError(f"exact rational coefficient expected, got {type(c).__name__}")
 
 
-def _int_content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _int_primitive(coeffs: Sequence[int]) -> list[int]:
-    g = _int_content(coeffs)
+    g = math.gcd(*coeffs)
     if g in (0, 1):
         return list(coeffs)
     return [c // g for c in coeffs]
@@ -622,7 +613,7 @@ def _delta_exponents(k: int) -> tuple[int, ...]:
         # single writer extends the tables; readers only ever see filled slots
         while len(_DELTA_EXPONENTS) <= k:
             j = len(_DELTA_EXPONENTS)
-            # the divisors of 2j + 2 that divide no 2i + 2 with i < j
+            # the d | 2j + 2 that divide no 2i + 2 with i < j
             for d in (j + 1, 2 * j + 2):
                 if d >= 3 and d not in _PSI_POSITION:
                     psi = _psi(d)
@@ -661,7 +652,7 @@ class _Factored(NamedTuple):
     Normal form: the integer scalar den > 0 is coprime to the content of the
     integer polynomial num, no Psi_i with exps[i] > 0 divides num, exps has
     no trailing zeros, and zero is ((), 1, ()).  Equal values are equal
-    tuples.
+    tuples.  :func:`_normal` alone puts a value in this form.
     """
 
     num: tuple[int, ...]
@@ -676,11 +667,7 @@ class _Factored(NamedTuple):
             return _F_ZERO
         a, b = _padded(self.exps, other.exps)
         exps = [x + y for x, y in zip(a, b)]
-        # Psi_i is irreducible and divides neither numerator where its
-        # exponent is positive, so it can divide the product only where
-        # exactly one exponent is zero
-        divisors = [i for i, (x, y) in enumerate(zip(a, b)) if (not x) != (not y)]
-        return _normal(_mul(self.num, other.num), self.den * other.den, exps, divisors)
+        return _normal(_mul(self.num, other.num), self.den * other.den, exps)
 
     def minus(self, other: "_Factored") -> "_Factored":
         if not other.num:
@@ -696,10 +683,7 @@ class _Factored(NamedTuple):
             left += [0] * (len(right) - len(left))
         for i, c in enumerate(right):
             left[i] -= c
-        # where the exponents differ, the side with the smaller one was
-        # multiplied by Psi_i and the other numerator is prime to it
-        divisors = [i for i, (x, y) in enumerate(zip(a, b)) if x and x == y]
-        return _normal(left, den, exps, divisors)
+        return _normal(left, den, exps)
 
     def _over(self, exps: list[int], den: int) -> list[int]:
         """The numerator of this value over den * prod_i Psi_i^exps[i]."""
@@ -720,19 +704,20 @@ def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ..
     return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
 
 
-def _normal(num: list[int], den: int, exps: list[int], divisors: Sequence[int]) -> _Factored:
-    """num / (den * prod_i Psi_i^exps[i]) in normal form, when only the Psi_i
-    with i in divisors can divide num: each is divided out exactly while it
-    divides num, then the scalar content."""
+def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
+    """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i with
+    exps[i] > 0 is divided out exactly while it divides num, then the scalar
+    content.  Every _Factored but 0, 1 and the powers of q is made here or
+    negated from one made here."""
     while num and num[-1] == 0:
         num.pop()
     if not num:
         return _F_ZERO
     # Psi_i is monic, so Psi_i | num gives Psi_i(x) | num(x) at an integer x:
     # a division is tried only where that cheap necessary test passes
-    value = _horner(num, _POINT) if divisors else 0
-    for i in divisors:
-        e, at = exps[i], _PSI_AT[i]
+    value = _horner(num, _POINT) if any(exps) else 0
+    for i, e in enumerate(exps):
+        at = _PSI_AT[i]
         while e and not value % at:
             quot, rem = _divrem(num, _PSI[i])
             if rem:
@@ -767,8 +752,8 @@ def _psi_power(exps: tuple[int, ...]) -> Polynomial:
 
 
 def _to_factored(value: RationalFunction) -> _Factored | None:
-    """value over the factor base as grown so far; None when its
-    denominator does not factor over it."""
+    """value over the factor base as grown so far, through :func:`_normal`;
+    None when its denominator does not factor over it."""
     rest = list(value.den.coeffs)
     if any(type(c) is not int for c in rest):
         return None
@@ -783,10 +768,8 @@ def _to_factored(value: RationalFunction) -> _Factored | None:
         exps.append(e)
     if rest != [1]:
         return None
-    while exps and not exps[-1]:
-        exps.pop()
     num, den = _clear_denominators(value.num.coeffs)
-    return _Factored(tuple(num), den, tuple(exps))
+    return _normal(num, den, exps)
 
 
 # each distinct value is converted once (twice, to equal values, when two

@@ -461,8 +461,8 @@ def factor_values(max_degree=3):
 @given(factor_values(), factor_values())
 @settings(max_examples=200)
 def test_pruned_trial_division_matches_the_full_one(x, y):
-    """times and minus try only the Psi_i that irreducibility lets divide the
-    result, and give the tuple of the full trial division."""
+    """times and minus give the tuple of the full trial division, on values
+    whose products and differences cancel some Psi_d."""
     a, b = _to_factored(x), _to_factored(y)
     for left, right in ((a, b), (b, a), (a, a)):
         if not left.num or not right.num:
@@ -486,6 +486,30 @@ def test_pruned_trial_division_matches_the_full_one(x, y):
         assert left.minus(right) == difference
     assert factored_value(a.times(b)) == x * y
     assert factored_value(a.minus(b)) == x - y
+
+
+def normal_arguments(max_degree=3):
+    """Arguments of _normal: an integer numerator that carries Psi_d factors,
+    a scalar and an exponent vector, each possibly with trailing zeros."""
+    _delta_exponents(8)
+    carried = st.lists(st.integers(0, 2), max_size=len(_PSI))
+    exponents = st.lists(st.integers(0, 3), max_size=len(_PSI))
+    coeffs = st.lists(st.integers(-6, 6), max_size=max_degree + 1)
+    numerators = st.tuples(coeffs, carried, st.integers(0, 2)).map(
+        lambda t: list((Polynomial(tuple(t[0])) * _psi_product(t[1])).coeffs) + [0] * t[2]
+    )
+    return st.tuples(numerators, st.integers(1, 12), exponents)
+
+
+@given(normal_arguments())
+@settings(max_examples=200)
+def test_normal_divides_out_every_psi_that_divides(arguments):
+    """_normal is told nothing about which Psi_i can divide the numerator,
+    and gives the tuple of the full trial division in normal form."""
+    num, den, exps = arguments
+    got = qpoly._normal(list(num), den, list(exps))
+    assert_normal_form(got)
+    assert got == full_normal(num, den, exps)
 
 
 def test_denominators_outside_the_base_do_not_translate():
