@@ -7,7 +7,9 @@ verification, 2 usage or input errors.
 
 ``gram`` and ``orthogonalize`` write their matrix in every format through
 one writer (:func:`_matrix_chunks`), a row at a time, each row joined from
-one text per distinct value; the other commands' documents are small.
+one text per distinct value; the other commands' documents are small.  It
+renders the values that ``qpoly`` builds and expands, and the dense rows of
+``ortho._checked_rows``; it reads neither format itself.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from .markov import _csv_lines, gram_exponents, pair_diagrams
 from .ortho import (
     _checked_rows,
     _predicted,
-    _Stored,
     check_fixture_bases,
     det_closed_form_check,
     det_oracle_check,
     verify_orthogonality,
 )
-from .qpoly import _F_ZERO, _Factored, _psi_power, chebyshev
+from .qpoly import _delta_exponents, _expanded, _Factored, _from_exponents, chebyshev
 
 SCALE_GUARDRAIL = 8  # C_9 = 4862 makes exact Gram work expensive
 DET_ORACLE_GUARDRAIL = 5  # at 6, the oracle's four symmetry blocks take about 1.5 s
@@ -58,13 +59,13 @@ def _dump_json(obj) -> str:
 
 def _factored_json(value: _Factored, depth: int) -> str:
     """The text of ``_from_factored(value).to_json()`` as :func:`_dump_json`
-    renders it at depth, built from the factor-base form; no
-    RationalFunction is made."""
-    num = value.num if value.den == 1 else [Fraction(c, value.den) for c in value.num]
+    renders it at depth, built from the expanded numerator and denominator;
+    no RationalFunction is made."""
+    num, den = _expanded(value)
     polynomials = [
         f'"{key}": '
-        + _block(['"coeffs": ' + _block([f'"{c!s}"' for c in coeffs], depth + 2)], depth + 1, "{}")
-        for key, coeffs in (("den", _psi_power(value.exps).coeffs), ("num", num))
+        + _block(['"coeffs": ' + _block([f'"{c!s}"' for c in p.coeffs], depth + 2)], depth + 1, "{}")
+        for key, p in (("den", den), ("num", num))
     ]
     return _block(polynomials, depth, "{}")
 
@@ -108,22 +109,6 @@ def _matrix_chunks(args, basis, key: str, label: str, rows, diagonal=None) -> It
         for s, row in zip(names, rows):
             yield f"{label}[{s}]: " + ", ".join(row) + "\n"
         yield "".join(f"D[{s}]: {d}\n" for s, d in zip(names, diagonal or ()))
-
-
-def _stored_rows(fmt: str, size: int, stored: Iterable[_Stored]) -> Iterator[list[str]]:
-    """The rows of P as entry texts, from the store's rows: each distinct
-    coefficient is rendered once, and each row is the zero entry's text with
-    the nonzero entries set by index."""
-    zero = _value_text(fmt, _F_ZERO, 3)
-    texts: dict[_Factored, str] = {}
-    for indices, values in stored:
-        row = [zero] * size
-        for i, value in zip(indices, values):
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = _value_text(fmt, value, 3)
-            row[i] = text
-        yield row
 
 
 def _emit(chunks: Iterable[str] | str, out_path: str | None) -> None:
@@ -227,7 +212,7 @@ def _cmd_gram(args) -> int:
         return _fail(problem)
     # an entry q^c is one of n + 1 values: each is rendered once, and a row
     # is gathered from those texts by its exponents
-    powers = [_Factored((0,) * c + (1,), 1, ()) for c in range(args.n + 1)]
+    powers = (_from_exponents([c * e for e in _delta_exponents(1)]) for c in range(args.n + 1))
     texts = [_value_text(args.format, q_c, 3) for q_c in powers]
     rows = (list(map(texts.__getitem__, row)) for row in gram_exponents(args.n))
     basis = enumerate_diagrams(args.n)
@@ -242,8 +227,7 @@ def _cmd_orthogonalize(args) -> int:
     if args.n < 1:
         return _fail("orthogonalize needs n >= 1")
     # every check runs here, before _emit opens --out or writes a byte
-    basis, stored = _checked_rows(args.n)
-    rows = _stored_rows(args.format, len(basis), stored)
+    basis, rows = _checked_rows(args.n, lambda value: _value_text(args.format, value, 3))
     diagonal = (_value_text(args.format, _predicted(s), 2) for s in basis)
     _emit(_matrix_chunks(args, basis, "P", "P", rows, diagonal), args.out)
     return 0

@@ -32,17 +32,17 @@ present, with no polynomial gcd.
 One store holds the only copy of the vectors: each is an ``array('I')`` of
 diagram indices with a parallel tuple of shared ``_Factored`` values, keyed
 by its sequence.  The builder, check (ii), the downset test and the
-orthogonality and diagonal checks read it by index.  Values cross to
-:class:`RationalFunction` only at the edges, once per distinct value:
-:func:`orthogonal_vector` wraps an entry into a :class:`DiagramVector` on
-first request, :func:`change_of_basis` fills the rows of P by index, and a
-failure message or the text and CSV output of ``orthogonalize`` converts
-the values it prints.  A passing check converts none, and neither does the
-JSON output of ``orthogonalize``.  In every format that command renders
-the checked rows (:func:`_checked_rows`) and the predicted diagonal from
-the factor-base values, and never builds the dense P.  It, too, checks the
-rows by the verifier's unitriangular and downset-support checks
-(:func:`_row_checks`).
+orthogonality and diagonal checks read it by index.  The ratio, q and the
+predicted diagonal come from their net Psi exponents
+(``qpoly._from_exponents``).  Stored rows become dense rows only in
+:func:`_checked_rows`, after the verifier's unitriangular and
+downset-support checks (:func:`_row_checks`), through a converter called
+once per distinct value: :func:`change_of_basis` passes the conversion to
+:class:`RationalFunction`, and ``orthogonalize`` its renderer.  Elsewhere
+values cross to :class:`RationalFunction` only in :func:`orthogonal_vector`
+and where a failure message or the text and CSV output of ``orthogonalize``
+prints one.  A passing check converts none, and neither does the JSON
+output of ``orthogonalize``, which reads ``qpoly._expanded``.
 
 :func:`verify_orthogonality` certifies all of this by exact arithmetic.  The
 engine tabulates the half-pairings H[b][a] = <e_b, e'_a> without pairing any
@@ -103,7 +103,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagrams import RestrictedSequence, _heads, _level, enumerate_diagrams
 from .markov import (
@@ -127,13 +127,12 @@ from .qpoly import (
     RationalFunction,
     _delta_exponents,
     _Factored,
+    _from_exponents,
     _from_factored,
     _horner,
-    _normal,
     _psi_power,
     _psi_product,
     _to_factored,
-    chebyshev,
 )
 
 __all__ = [
@@ -309,23 +308,21 @@ def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:
 
 
 def _predicted(s: RestrictedSequence) -> _Factored:
-    """The predicted self-pairing over the factor base, from its net
-    exponents: the product of the positive powers over the negative ones."""
-    exponents = _quotient_exponents(s.entries)
-    num = _psi_power(tuple(max(e, 0) for e in exponents))
-    return _normal(list(num.coeffs), 1, [max(-e, 0) for e in exponents])
+    """The predicted self-pairing over the factor base, from its net exponents."""
+    return _from_exponents(_quotient_exponents(s.entries))
 
 
 def _quotient_exponents(entries: Iterable[int]) -> list[int]:
     """The product of Delta_a/Delta_{a-1} over entries a, as net exponents over
-    the factor base: each Delta_k counts once per entry k and minus once per
-    entry k + 1."""
+    the factor base: each Delta_k, k from 1 to the largest entry, counts once
+    per entry k and minus once per entry k + 1."""
     counts: dict[int, int] = {}
     for a in entries:
         counts[a] = counts.get(a, 0) + 1
-    exponents = [0] * len(_delta_exponents(max(counts, default=0)))
-    for k, count in counts.items():
-        net = count - counts.get(k + 1, 0)
+    top = max(counts, default=0)
+    exponents = [0] * len(_delta_exponents(top))
+    for k in range(1, top + 1):
+        net = counts.get(k, 0) - counts.get(k + 1, 0)
         for i, e in enumerate(_delta_exponents(k)):
             exponents[i] += net * e
     return exponents
@@ -352,9 +349,11 @@ class OrthoBasis:
         }
 
 
-def _checked_rows(n: int) -> tuple[tuple[RestrictedSequence, ...], list[_Stored]]:
-    """The basis of size n and the store's entry of each e'_a in basis
-    order: the rows of P over the factor base.
+def _checked_rows(n: int, convert: Callable[[_Factored], object]) -> tuple[tuple, Iterator[list]]:
+    """The basis of size n and the rows of P in basis order, as dense lists of
+    convert(coefficient), one row at a time.  Each distinct coefficient, zero
+    included, is converted once, and each row is the zero's conversion with
+    the store's nonzero entries set by index.
 
     The rows pass the verifier's unitriangular and downset-support checks
     (:func:`_row_checks`) before returning; the first that fails raises
@@ -368,7 +367,18 @@ def _checked_rows(n: int) -> tuple[tuple[RestrictedSequence, ...], list[_Stored]
     for check in _row_checks(basis, rows)[0]:
         if not check.passed:
             raise InternalCheckError(f"{check.name}: {check.details}")
-    return basis, rows
+    converted = {_F_ZERO: convert(_F_ZERO)}
+
+    def dense(stored: _Stored) -> list:
+        row = [converted[_F_ZERO]] * len(basis)
+        for i, value in zip(stored.indices, stored.values):
+            entry = converted.get(value)
+            if entry is None:
+                entry = converted[value] = convert(value)
+            row[i] = entry
+        return row
+
+    return basis, map(dense, rows)
 
 
 def _coefficient(row: _Stored, i: int) -> _Factored:
@@ -379,25 +389,14 @@ def _coefficient(row: _Stored, i: int) -> _Factored:
 def change_of_basis(n: int) -> OrthoBasis:
     """Stack the orthogonal vectors over the canonical basis order.
 
-    Each row of P is filled by index from the checked rows
-    (:func:`_checked_rows`), and each distinct coefficient is converted to a
-    RationalFunction once; rows that fail a check raise
+    The rows of P are the checked rows (:func:`_checked_rows`) with each
+    coefficient a RationalFunction; rows that fail a check raise
     :class:`InternalCheckError` first.  This dense form is the public data
-    API and the tests' reference; the ``orthogonalize`` command writes the
+    API and the tests' reference; the ``orthogonalize`` command renders the
     checked rows without building it.
     """
-    basis, stored_rows = _checked_rows(n)
-    converted: dict[_Factored, RationalFunction] = {}
-    rows = []
-    for stored in stored_rows:
-        row = [RF_ZERO] * len(basis)
-        for i, value in zip(stored.indices, stored.values):
-            rf = converted.get(value)
-            if rf is None:
-                rf = converted[value] = _from_factored(value)
-            row[i] = rf
-        rows.append(tuple(row))
-    P = SquareMatrix(basis, tuple(rows))
+    basis, rows = _checked_rows(n, _from_factored)
+    P = SquareMatrix(basis, tuple(map(tuple, rows)))
     diagonal = tuple(predicted_diagonal(s) for s in basis)
     return OrthoBasis(n=n, basis=basis, P=P, diagonal=diagonal)
 
@@ -552,8 +551,9 @@ def _row_checks(
 
 @functools.cache
 def _ratio(h: int) -> _Factored:
-    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h)."""
-    return _normal(list(chebyshev(h - 2).coeffs), 1, list(_delta_exponents(h - 1)))
+    """Delta_{h-2}/Delta_{h-1}, the coefficient of e'_(t,h-1) in e'_(t,h):
+    the inverse of the quotient of the entry h - 1."""
+    return _from_exponents([-e for e in _quotient_exponents((h - 1,))])
 
 
 def _combined(
@@ -605,7 +605,7 @@ def _half_pairings(n: int) -> list[dict[int, _Factored]]:
     certifies that the result equals G P^T for the stored vectors.  The
     entries are computed and returned over the factor base.
     """
-    q = _Factored((0, 1), 1, ())
+    q = _from_exponents(_delta_exponents(1))
     # the entries repeat, so each field operation is done once per operands
     raised: dict[_Factored, _Factored] = {}
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}

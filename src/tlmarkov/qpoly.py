@@ -652,7 +652,10 @@ class _Factored(NamedTuple):
     Normal form: the integer scalar den > 0 is coprime to the content of the
     integer polynomial num, no Psi_i with exps[i] > 0 divides num, exps has
     no trailing zeros, and zero is ((), 1, ()).  Equal values are equal
-    tuples.  :func:`_normal` alone puts a value in this form.
+    tuples.  :func:`_normal` alone puts a value in this form.  A value is
+    made from its net Psi exponents (:func:`_from_exponents`), by ``times``
+    and ``minus``, or from a RationalFunction (:func:`_to_factored`), and is
+    read as polynomials only through :func:`_expanded`.
     """
 
     num: tuple[int, ...]
@@ -707,8 +710,8 @@ def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ..
 def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
     """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i with
     exps[i] > 0 is divided out exactly while it divides num, then the scalar
-    content.  Every _Factored but 0, 1 and the powers of q is made here or
-    negated from one made here."""
+    content.  Every _Factored but 0 and 1 is made here or negated from one
+    made here."""
     while num and num[-1] == 0:
         num.pop()
     if not num:
@@ -751,6 +754,13 @@ def _psi_power(exps: tuple[int, ...]) -> Polynomial:
     return _psi_product(exps)
 
 
+def _from_exponents(exps: Sequence[int]) -> _Factored:
+    """prod_i Psi_i^exps[i] for signed exps: the positive powers expanded over
+    the negative ones."""
+    num = _psi_power(tuple(max(e, 0) for e in exps))
+    return _normal(list(num.coeffs), 1, [max(-e, 0) for e in exps])
+
+
 def _to_factored(value: RationalFunction) -> _Factored | None:
     """value over the factor base as grown so far, through :func:`_normal`;
     None when its denominator does not factor over it."""
@@ -772,13 +782,18 @@ def _to_factored(value: RationalFunction) -> _Factored | None:
     return _normal(num, den, exps)
 
 
+def _expanded(value: _Factored) -> tuple[Polynomial, Polynomial]:
+    """The numerator and the monic denominator of value as one reduced quotient."""
+    num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
+    return Polynomial(tuple(num)), _psi_power(value.exps)
+
+
 # each distinct value is converted once (twice, to equal values, when two
 # threads race on its first conversion)
 @functools.cache
 def _from_factored(value: _Factored) -> RationalFunction:
     """The RationalFunction of a value in normal form."""
-    num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
-    return RationalFunction._from_normal(Polynomial(tuple(num)), _psi_power(value.exps))
+    return RationalFunction._from_normal(*_expanded(value))
 
 
 def eval_at(x, q0, *, pole_tolerance: float = 1e-12):

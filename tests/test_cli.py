@@ -22,6 +22,7 @@ from tlmarkov.ortho import (
     InternalCheckError,
     _checked_rows,
     _clear_memos,
+    _level,
     _predicted,
     change_of_basis,
     verify_orthogonality,
@@ -216,8 +217,8 @@ def test_factored_json_is_the_reference_text(n):
     """Every distinct coefficient of P, at the depth of an entry of P, and
     every predicted diagonal entry, at the depth of an entry of the
     diagonal, has the reference text."""
-    basis, rows = _checked_rows(n)
-    for value in {v for row in rows for v in row.values} | {_F_ZERO}:
+    basis, rows = _checked_rows(n, lambda value: value)
+    for value in {v for row in rows for v in row} | {_F_ZERO}:
         assert _factored_json(value, 3) == reference_text(value, 3)
     for s in basis:
         value = _predicted(s)
@@ -292,6 +293,38 @@ def test_orthogonalize_json_converts_nothing(capsys):
         code, _, _ = run(capsys, "orthogonalize", str(n), "--format", "json")
         assert code == 0
         assert not qpoly._from_factored.cache_info().currsize, n
+
+
+@pytest.mark.parametrize("target", ["json", "text", "csv", "change_of_basis"])
+@pytest.mark.parametrize("n", range(4, 7))
+def test_each_distinct_stored_value_is_converted_once(monkeypatch, capsys, n, target):
+    """The one reader of the stored rows converts each distinct stored value
+    once, and zero once, for orthogonalize in every format and for
+    change_of_basis."""
+    import tlmarkov.cli as cli_module
+    from tlmarkov import ortho as ortho_module
+
+    true_checked_rows = ortho_module._checked_rows
+    converted = []
+
+    def checked_rows(n, convert):
+        def spy(value):
+            converted.append(value)
+            return convert(value)
+
+        return true_checked_rows(n, spy)
+
+    monkeypatch.setattr(ortho_module, "_checked_rows", checked_rows)
+    monkeypatch.setattr(cli_module, "_checked_rows", checked_rows)
+    if target == "change_of_basis":
+        change_of_basis(n)
+    else:
+        code, _, _ = run(capsys, "orthogonalize", str(n), "--format", target)
+        assert code == 0
+    stored = {v for s in _level(n).basis for v in ortho_module._stored(s).values}
+    assert _F_ZERO not in stored
+    assert len(converted) == len(stored) + 1
+    assert set(converted) == stored | {_F_ZERO}
 
 
 # the one row check each corrupted store below fails, with its details

@@ -49,6 +49,7 @@ from tlmarkov.ortho import (
     _outside_downset,
     _packed,
     _predicted,
+    _quotient_exponents,
     _reduce_powers,
     _symmetry_blocks,
     bareiss_det,
@@ -190,6 +191,31 @@ def test_predicted_diagonal_equals_the_chebyshev_product(n):
         if n <= 7:
             assert_normal_form(_predicted(s))
             assert factored_value(_predicted(s)) == want, str(s)
+
+
+def reference_quotient_exponents(entries):
+    """Sum over entries a of the exponents of Delta_a minus those of Delta_{a-1}."""
+    out = [0] * len(_delta_exponents(max(entries, default=0)))
+    for a in entries:
+        for sign, k in ((1, a), (-1, a - 1)):
+            for i, e in enumerate(_delta_exponents(k)):
+                out[i] += sign * e
+    return out
+
+
+@given(st.lists(st.integers(1, 8), max_size=8))
+@settings(max_examples=200)
+def test_quotient_exponents_of_any_entries(entries):
+    """Entry lists that need not be restricted sequences, with gaps and
+    without the entry 1."""
+    assert _quotient_exponents(entries) == reference_quotient_exponents(entries)
+
+
+def test_quotient_exponents_examples():
+    _delta_exponents(3)
+    assert _quotient_exponents((3,)) == [1, -1, -1, 1]  # Delta_3/Delta_2
+    assert _quotient_exponents((1, 3)) == [2, -1, -1, 1]
+    assert _quotient_exponents(()) == []
 
 
 def test_verify_diagonals_small():

@@ -31,6 +31,7 @@ from tlmarkov.qpoly import (
     RationalFunction,
     _delta_exponents,
     _Factored,
+    _from_exponents,
     _from_factored,
     _psi_product,
     _to_factored,
@@ -510,6 +511,46 @@ def test_normal_divides_out_every_psi_that_divides(arguments):
     got = qpoly._normal(list(num), den, list(exps))
     assert_normal_form(got)
     assert got == full_normal(num, den, exps)
+
+
+def signed_exponents():
+    """Signed exponent vectors over the base of Delta_1..Delta_8, possibly
+    with trailing zeros."""
+    width = len(_delta_exponents(8))
+    return st.lists(st.integers(-3, 3), max_size=width)
+
+
+def assert_reduced_quotient(exps):
+    """_from_exponents(exps) is in normal form and is the factor-base form of
+    the gcd-reduced quotient of the positive Psi powers by the negative ones,
+    expanded without the memo."""
+    got = _from_exponents(exps)
+    assert_normal_form(got)
+    num = _psi_product([max(e, 0) for e in exps])
+    den = _psi_product([max(-e, 0) for e in exps])
+    assert got == _to_factored(RationalFunction(num, den))
+    return got
+
+
+@given(signed_exponents())
+@settings(max_examples=200)
+def test_from_exponents_is_the_reduced_quotient(exps):
+    assert_reduced_quotient(exps)
+
+
+@pytest.mark.parametrize("h", range(2, 11))
+def test_from_exponents_of_the_recursion_ratio(h):
+    """Delta_{h-2}/Delta_{h-1}, the ratio of the orthogonal vectors' recursion."""
+    lower, upper = qpoly._padded(_delta_exponents(h - 2), _delta_exponents(h - 1))
+    got = assert_reduced_quotient([x - y for x, y in zip(lower, upper)])
+    assert fresh_from_factored(got) == RationalFunction(chebyshev(h - 2), chebyshev(h - 1))
+
+
+@pytest.mark.parametrize("c", range(9))
+def test_from_exponents_of_the_powers_of_q(c):
+    """q^c = Delta_1^c, the Gram entries and the half-pairings' loop factor."""
+    got = assert_reduced_quotient([c * e for e in _delta_exponents(1)])
+    assert got == _Factored((0,) * c + (1,), 1, ())
 
 
 def test_denominators_outside_the_base_do_not_translate():
