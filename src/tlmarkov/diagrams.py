@@ -215,13 +215,7 @@ def insert_arc(m: Matching, k: int) -> Matching:
     size2 = len(m.partner)
     if not 1 <= k <= size2 + 1:
         raise ValueError(f"insertion position {k} outside 1..{size2 + 1}")
-    partner = [0] * (size2 + 2)
-    for i, j in enumerate(m.partner, start=1):
-        i2 = i + 2 if i >= k else i
-        j2 = j + 2 if j >= k else j
-        partner[i2 - 1] = j2
-    partner[k - 1], partner[k] = k + 1, k
-    return Matching(tuple(partner))
+    return _matching(_inserted(_partners(m), k))
 
 
 def contract(m: Matching, k: int) -> tuple[Matching, int]:
@@ -237,20 +231,30 @@ def contract(m: Matching, k: int) -> tuple[Matching, int]:
         raise ValueError("cannot contract the empty diagram")
     if not 1 <= k <= size2 - 1:
         raise ValueError(f"contraction position {k} outside 1..{size2 - 1}")
-    pairs = dict(enumerate(m.partner, start=1))
-    if pairs[k] == k + 1:
-        loops = 1
-    else:
-        loops = 0
-        a, b = pairs[k], pairs[k + 1]
-        pairs[a], pairs[b] = b, a
-    del pairs[k], pairs[k + 1]
-    partner = [0] * (size2 - 2)
-    for i, j in pairs.items():
-        i2 = i - 2 if i > k else i
-        j2 = j - 2 if j > k else j
-        partner[i2 - 1] = j2
-    return Matching(tuple(partner)), loops
+    partners, loops = _contracted(_partners(m), k)
+    return _matching(partners), loops
+
+
+def _inserted(p: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """l_k on a 0-based partner tuple (:func:`_partners`): the new arc joins
+    the points k - 1 and k, and the points from k - 1 on move up by 2.  The
+    position is not checked."""
+    moved = [j + 2 if j >= k - 1 else j for j in p]
+    return (*moved[: k - 1], k, k - 1, *moved[k - 1 :])
+
+
+def _contracted(p: tuple[int, ...], k: int) -> tuple[tuple[int, ...], int]:
+    """tau_k on a 0-based partner tuple: the points k - 1 and k are glued and
+    removed, their partners joined, and the loops closed counted.  The
+    position is not checked."""
+    a = k - 1
+    glued = list(p)
+    loops = int(p[a] == k)
+    if not loops:
+        x, y = p[a], p[k]
+        glued[x], glued[y] = y, x
+    del glued[a : a + 2]
+    return tuple([j - 2 if j > a else j for j in glued]), loops
 
 
 def seq_to_matching(s: RestrictedSequence) -> Matching:
@@ -295,6 +299,11 @@ def _partners(m: Matching) -> tuple[int, ...]:
     return tuple(p - 1 for p in m.partner)
 
 
+def _matching(p: tuple[int, ...]) -> Matching:
+    """The Matching of a 0-based partner tuple, checked on construction."""
+    return Matching(tuple(j + 1 for j in p))
+
+
 @dataclass(frozen=True)
 class _Level:
     """The diagrams of size k and how they arise from those of size k - 1.
@@ -302,11 +311,15 @@ class _Level:
     ``basis`` (B_k) lists (t, h) for each tail t of B_{k-1} in order and each
     head h of t (:func:`_heads`) in turn: the canonical order by construction.
     The rest is built on first use: ``index`` maps each diagram to its
-    position, ``matchings`` each diagram's matching (one :func:`insert_arc`
-    from its tail's) in the same order, and ``partners`` lists their 0-based
-    partner tuples.  ``lift[h - 1][u]`` is the index of l_h(u) for the u-th
+    position, and ``partners`` lists the diagrams' 0-based partner tuples in
+    the same order, each its tail's with one arc inserted (:func:`_inserted`).
+    ``partner_index`` maps each partner tuple to its position, and every
+    other table is computed on partner tuples through it, with no Matching
+    made or checked.  ``lift[h - 1][u]`` is the index of l_h(u) for the u-th
     diagram of B_{k-1}; ``contract[b][h - 1]`` is ``(u, c)`` with u the index
     of tau_h(b) in B_{k-1} and c the loops the contraction closes.
+    ``matchings`` maps each diagram's :class:`Matching` to its position, for
+    the callers that want Matchings.
     """
 
     k: int
@@ -317,30 +330,34 @@ class _Level:
         return {s: i for i, s in enumerate(self.basis)}
 
     @functools.cached_property
-    def matchings(self) -> dict[Matching, int]:
+    def partners(self) -> list[tuple[int, ...]]:
         if not self.k:
-            return {Matching.empty(): 0}
+            return [()]
         below = _level(self.k - 1)
-        tails = zip(below.matchings, below.basis)
-        images = (insert_arc(m, h) for m, t in tails for h in _heads(t))
-        return {m: i for i, m in enumerate(images)}
+        tails = zip(below.partners, below.basis)
+        return [_inserted(p, h) for p, t in tails for h in _heads(t)]
 
     @functools.cached_property
-    def partners(self) -> list[tuple[int, ...]]:
-        return list(map(_partners, self.matchings))
+    def partner_index(self) -> dict[tuple[int, ...], int]:
+        return {p: i for i, p in enumerate(self.partners)}
+
+    @functools.cached_property
+    def matchings(self) -> dict[Matching, int]:
+        return {_matching(p): i for i, p in enumerate(self.partners)}
 
     @functools.cached_property
     def lift(self) -> tuple[tuple[int, ...], ...]:
-        below = _level(self.k - 1).matchings if self.k else {}
-        heads = range(1, self.k + 1)
-        return tuple(tuple(self.matchings[insert_arc(m, h)] for m in below) for h in heads)
+        below = _level(self.k - 1).partners if self.k else []
+        at = self.partner_index
+        return tuple(tuple([at[_inserted(p, h)] for p in below]) for h in range(1, self.k + 1))
 
     @functools.cached_property
     def contract(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         # only the verifier reads it, so orthogonalize never builds it
-        below = _level(self.k - 1).matchings if self.k else {}
-        images = ([contract(m, h) for h in range(1, self.k + 1)] for m in self.matchings)
-        return tuple(tuple((below[image], loops) for image, loops in row) for row in images)
+        at = _level(self.k - 1).partner_index if self.k else {}
+        heads = range(1, self.k + 1)
+        images = ([_contracted(p, h) for h in heads] for p in self.partners)
+        return tuple(tuple([(at[image], loops) for image, loops in row]) for row in images)
 
 
 @functools.cache

@@ -26,8 +26,10 @@ the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
 determinant structure).  So the builder and the whole verifier, with one
 recursion step (:func:`_recurse`), compute over the irreducible factors Psi_d
 of the Delta_k (``qpoly._Factored``): an integer numerator over a positive
-integer and an exponent vector, reduced by exact division by the Psi_d
-present, with no polynomial gcd.
+integer and a signed exponent vector, negative entries being Psi_d powers
+in the numerator.  A product by the ratio or by q adds exponent vectors; a
+difference is reduced by exact division by the Psi_d that divide it, with
+no polynomial gcd.
 
 One store holds the only copy of the vectors: each is an ``array('I')`` of
 diagram indices with a parallel tuple of shared ``_Factored`` values, keyed

@@ -647,15 +647,22 @@ def _psi(d: int) -> tuple[int, ...]:
 
 
 class _Factored(NamedTuple):
-    """The value num / (den * prod_i Psi_i^exps[i]) over the factor base.
+    """The value num / (den * prod_i Psi_i^exps[i]) over the factor base; a
+    negative exps[i] is a power of Psi_i in the numerator.
 
     Normal form: the integer scalar den > 0 is coprime to the content of the
-    integer polynomial num, no Psi_i with exps[i] > 0 divides num, exps has
-    no trailing zeros, and zero is ((), 1, ()).  Equal values are equal
-    tuples.  :func:`_normal` alone puts a value in this form.  A value is
-    made from its net Psi exponents (:func:`_from_exponents`), by ``times``
-    and ``minus``, or from a RationalFunction (:func:`_to_factored`), and is
-    read as polynomials only through :func:`_expanded`.
+    integer polynomial num, no Psi_i of the base divides num, exps has no
+    trailing zeros, and zero is ((), 1, ()).  Equal values made under one
+    base are equal tuples; the values the engine makes at size k carry no
+    Psi_d outside the base of Delta_1..Delta_k (a test pins this), so the
+    base growing later changes none of them.  :func:`_normal` puts a
+    difference or a converted value in this form; a product of values in it
+    is in it once its exponents are added and its scalar content is
+    reduced (:func:`_reduced`), since each Psi_i is monic and irreducible.
+    A value is made from its net Psi exponents
+    (:func:`_from_exponents`), by ``times`` and ``minus``, or from a
+    RationalFunction (:func:`_to_factored`), and is read as polynomials only
+    through :func:`_expanded`.
     """
 
     num: tuple[int, ...]
@@ -670,7 +677,7 @@ class _Factored(NamedTuple):
             return _F_ZERO
         a, b = _padded(self.exps, other.exps)
         exps = [x + y for x, y in zip(a, b)]
-        return _normal(_mul(self.num, other.num), self.den * other.den, exps)
+        return _reduced(_mul(self.num, other.num), self.den * other.den, exps)
 
     def minus(self, other: "_Factored") -> "_Factored":
         if not other.num:
@@ -689,7 +696,8 @@ class _Factored(NamedTuple):
         return _normal(left, den, exps)
 
     def _over(self, exps: list[int], den: int) -> list[int]:
-        """The numerator of this value over den * prod_i Psi_i^exps[i]."""
+        """The numerator of this value over den * prod_i Psi_i^exps[i], with
+        each exps[i] at least this value's own."""
         scale = den // self.den
         num = list(self.num) if scale == 1 else [c * scale for c in self.num]
         for i, e in enumerate(exps):
@@ -708,25 +716,35 @@ def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ..
 
 
 def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
-    """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i with
-    exps[i] > 0 is divided out exactly while it divides num, then the scalar
-    content.  Every _Factored but 0 and 1 is made here or negated from one
-    made here."""
+    """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i of the
+    base is divided out exactly while it divides num, lowering exps[i] below
+    zero where it must, before :func:`_reduced`."""
     while num and num[-1] == 0:
         num.pop()
     if not num:
         return _F_ZERO
     # Psi_i is monic, so Psi_i | num gives Psi_i(x) | num(x) at an integer x:
     # a division is tried only where that cheap necessary test passes
-    value = _horner(num, _POINT) if any(exps) else 0
-    for i, e in enumerate(exps):
+    value = _horner(num, _POINT) if len(num) > 1 else 1
+    for i, psi in enumerate(_PSI):
         at = _PSI_AT[i]
-        while e and not value % at:
-            quot, rem = _divrem(num, _PSI[i])
+        divided = 0
+        while len(num) >= len(psi) and not value % at:
+            quot, rem = _divrem(num, psi)
             if rem:
                 break
-            num, e, value = quot, e - 1, value // at
-        exps[i] = e
+            num, divided, value = quot, divided + 1, value // at
+        if divided:
+            exps += [0] * (i + 1 - len(exps))
+            exps[i] -= divided
+    return _reduced(num, den, exps)
+
+
+def _reduced(num: list[int], den: int, exps: list[int]) -> _Factored:
+    """num / (den * prod_i Psi_i^exps[i]) in normal form, for a nonzero num
+    that no Psi_i of the base divides: the trailing zero exponents dropped
+    and the scalar content divided out.  Every _Factored but 0 and 1 is made
+    here, through :func:`_normal` or not, or negated from one made here."""
     while exps and not exps[-1]:
         exps.pop()
     if den != 1:
@@ -745,9 +763,10 @@ def _psi_product(exps: Sequence[int]) -> Polynomial:
     return result
 
 
-# the products made at the RationalFunction edge, the denominators of
-# converted values and the predicted diagonals: at size 7 the 980 distinct
-# coefficients of the vectors share 153 exponent vectors
+# the products made at the RationalFunction edge, the Psi powers of the
+# numerators and the denominators of converted values: at size 7 the 980
+# distinct coefficients of the vectors share 153 denominators, and the 761
+# with a Psi power in the numerator share 150 such powers
 @functools.cache
 def _psi_power(exps: tuple[int, ...]) -> Polynomial:
     """prod_i Psi_i^exps[i], expanded once per exponent vector."""
@@ -755,10 +774,8 @@ def _psi_power(exps: tuple[int, ...]) -> Polynomial:
 
 
 def _from_exponents(exps: Sequence[int]) -> _Factored:
-    """prod_i Psi_i^exps[i] for signed exps: the positive powers expanded over
-    the negative ones."""
-    num = _psi_power(tuple(max(e, 0) for e in exps))
-    return _normal(list(num.coeffs), 1, [max(-e, 0) for e in exps])
+    """prod_i Psi_i^exps[i] for signed exps over the base, in normal form."""
+    return _reduced([1], 1, [-e for e in exps])
 
 
 def _to_factored(value: RationalFunction) -> _Factored | None:
@@ -783,9 +800,14 @@ def _to_factored(value: RationalFunction) -> _Factored | None:
 
 
 def _expanded(value: _Factored) -> tuple[Polynomial, Polynomial]:
-    """The numerator and the monic denominator of value as one reduced quotient."""
-    num = value.num if value.den == 1 else (Fraction(c, value.den) for c in value.num)
-    return Polynomial(tuple(num)), _psi_power(value.exps)
+    """The numerator and the monic denominator of value as one reduced
+    quotient: the negative powers multiplied into the numerator."""
+    num = value.num
+    if any(e < 0 for e in value.exps):
+        num = _mul(num, _psi_power(tuple(max(-e, 0) for e in value.exps)).coeffs)
+    if value.den != 1:
+        num = (Fraction(c, value.den) for c in num)
+    return Polynomial(tuple(num)), _psi_power(tuple(max(e, 0) for e in value.exps))
 
 
 # each distinct value is converted once (twice, to equal values, when two

@@ -123,9 +123,11 @@ def assert_one_dict_per_value(entries, dicts):
 
 def factored_value(f):
     """The value of a factor-base coefficient, through the gcd-reducing
-    RationalFunction constructor."""
+    RationalFunction constructor: the negative powers of Psi multiplied into
+    the numerator."""
     num = Polynomial(tuple(Fraction(c, f.den) for c in f.num))
-    return RationalFunction(num, _psi_product(f.exps))
+    num = num * _psi_product([max(-e, 0) for e in f.exps])
+    return RationalFunction(num, _psi_product([max(e, 0) for e in f.exps]))
 
 
 def assert_normal_form(f):
@@ -133,10 +135,10 @@ def assert_normal_form(f):
     assert all(type(c) is int for c in f.num) and (not f.num or f.num[-1] != 0)
     assert type(f.den) is int and f.den > 0
     assert math.gcd(f.den, *f.num) == 1
-    assert not f.exps or f.exps[-1] > 0
-    assert all(e >= 0 for e in f.exps) and len(f.exps) <= len(_PSI)
+    assert not f.exps or f.exps[-1] != 0
+    assert all(type(e) is int for e in f.exps) and len(f.exps) <= len(_PSI)
     if not f.num:
         assert (f.den, f.exps) == (1, ())
-    for psi, e in zip(_PSI, f.exps):
-        if e:
+    if len(f.num) > 1:
+        for psi in _PSI:
             assert not poly_divrem(Polynomial(f.num), Polynomial(psi))[1].is_zero

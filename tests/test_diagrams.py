@@ -181,7 +181,7 @@ def test_enumeration_builds_no_matching():
     assert _level.cache_info().currsize == 7
     for k in range(7):
         built = vars(_level(k))
-        assert not {"matchings", "partners", "lift", "contract"} & built.keys(), k
+        assert not {"matchings", "partners", "partner_index", "lift", "contract"} & built.keys(), k
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,61 @@ def test_contract_inverts_insert(n):
                 out, loops = contract(inserted, j)
                 assert out == m
                 assert loops == (1 if j == k else 0)
+
+
+def reference_insert(partner, k):
+    """l_k point by point on a 1-based partner tuple."""
+    out = [0] * (len(partner) + 2)
+    for i, j in enumerate(partner, start=1):
+        out[(i + 2 if i >= k else i) - 1] = j + 2 if j >= k else j
+    out[k - 1], out[k] = k + 1, k
+    return tuple(out)
+
+
+def reference_contract(partner, k):
+    """tau_k point by point on a 1-based partner tuple, with the loops closed."""
+    pairs = dict(enumerate(partner, start=1))
+    loops = int(pairs[k] == k + 1)
+    if not loops:
+        a, b = pairs[k], pairs[k + 1]
+        pairs[a], pairs[b] = b, a
+    del pairs[k], pairs[k + 1]
+    out = [0] * (len(partner) - 2)
+    for i, j in pairs.items():
+        out[(i - 2 if i > k else i) - 1] = j - 2 if j > k else j
+    return tuple(out), loops
+
+
+partner_tuples = st.one_of(
+    st.just(()),
+    restricted_sequences(max_size=6).map(lambda s: seq_to_matching(s).partner),
+    st.lists(st.integers(-1, 9), max_size=10).map(tuple),
+)
+
+
+@given(partner_tuples, st.integers(-2, 14))
+def test_insert_and_contract_check_their_input(partner, k):
+    """The public l_k and tau_k reject a tuple that is no matching, and a
+    position outside their range, with InvalidMatchingError or ValueError;
+    on valid input the partner-tuple kernels agree with the point-by-point
+    reference."""
+    size2 = len(partner)
+    try:
+        Matching(partner)
+        valid = True
+    except InvalidMatchingError:
+        valid = False
+    if valid and 1 <= k <= size2 + 1:
+        assert insert_arc(Matching(partner), k).partner == reference_insert(partner, k)
+    else:
+        with pytest.raises((InvalidMatchingError, ValueError)):
+            insert_arc(Matching(partner), k)
+    if valid and 1 <= k <= size2 - 1:
+        out, loops = contract(Matching(partner), k)
+        assert (out.partner, loops) == reference_contract(partner, k)
+    else:
+        with pytest.raises((InvalidMatchingError, ValueError)):
+            contract(Matching(partner), k)
 
 
 @given(restricted_sequences(max_size=8), st.data())

@@ -621,7 +621,7 @@ def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch)
     import sys
 
     from tlmarkov import ortho as ortho_module
-    from tlmarkov.qpoly import _Factored
+    from tlmarkov.qpoly import _delta_exponents, _Factored, _from_exponents
 
     true_combined, true_times = ortho_module._combined, _Factored.times
     triples: dict[str, set] = {}
@@ -656,7 +656,7 @@ def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch)
             assert_normal_form(got)
             assert factored_value(got) == want, caller
             assert _from_factored(got) == want, caller
-    q = _Factored((0, 1), 1, ())
+    q = _from_exponents(_delta_exponents(1))
     assert any(b == q for _, b in products)  # the half-pairings' q^c
     for a, b in products:
         got = true_times(a, b)
@@ -799,7 +799,7 @@ def test_a_cold_build_keeps_one_object_per_value_in_each_level():
             assert len(objects) == len(set(objects.values())), k
 
 
-@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("k", range(9))
 def test_level_tables_match_the_sequence_route(k):
     """Reference oracle: every l_h and tau_h image in the tables of size k is
     the diagram the restricted-sequence route names."""
@@ -827,6 +827,36 @@ def test_level_tables_match_the_sequence_route(k):
     for h, images in enumerate(level.lift, start=1):
         for u, image in enumerate(images):
             assert level.contract[image][h - 1] == (u, 1)
+
+
+def test_verification_makes_no_matching():
+    """From cleared memos, the builder and the verifier read the level tables
+    on partner tuples only: no size gets its Matchings."""
+    from tlmarkov.ortho import _clear_memos
+
+    _clear_memos()
+    with stored_vectors(clear=True):
+        assert verify_orthogonality(6).passed
+    assert _level.cache_info().currsize == 7
+    for k in range(7):
+        assert "matchings" not in vars(_level(k)), k
+
+
+def test_values_of_each_size_carry_no_psi_beyond_its_base():
+    """The normal form divides every Psi_d of the base out of a numerator,
+    so a value's tuple could change when the base grows past it.  Built with
+    the base grown through Delta_20, no vector coefficient or half-pairing of
+    size k has a Psi_d outside the base of Delta_1..Delta_k, so the values a
+    process makes do not depend on how far it has grown the base."""
+    from tlmarkov.ortho import _half_pairings, _stored
+
+    _delta_exponents(20)
+    with stored_vectors(clear=True):
+        for k in range(1, 7):
+            width = len(_delta_exponents(k))
+            values = {v for s in _level(k).basis for v in _stored(s).values}
+            values.update(v for column in _half_pairings(k) for v in column.values())
+            assert all(len(v.exps) <= width for v in values), k
 
 
 def test_each_size_builds_its_tables_once():

@@ -429,20 +429,21 @@ def test_equal_factored_values_are_equal_tuples(x, y, z):
 
 
 def full_normal(num, den, exps):
-    """Reference normal form: trial division by every Psi_i present, whether
-    or not irreducibility allows it to divide."""
+    """Reference normal form: trial division by every Psi_i of the base while
+    it divides, the exponent going below zero where it must, whether or not
+    irreducibility allows Psi_i to divide, and with no pruning test."""
     num, exps = list(num), list(exps)
     while num and num[-1] == 0:
         num.pop()
     if not num:
         return _F_ZERO
-    for i, e in enumerate(exps):
-        while e:
-            quot, rem = qpoly._divrem(num, _PSI[i])
+    exps += [0] * (len(_PSI) - len(exps))
+    for i, psi in enumerate(_PSI):
+        while len(num) > 1:
+            quot, rem = qpoly._divrem(num, psi)
             if rem:
                 break
-            num, e = quot, e - 1
-        exps[i] = e
+            num, exps[i] = quot, exps[i] - 1
     while exps and not exps[-1]:
         exps.pop()
     g = math.gcd(den, *num)
@@ -550,7 +551,41 @@ def test_from_exponents_of_the_recursion_ratio(h):
 def test_from_exponents_of_the_powers_of_q(c):
     """q^c = Delta_1^c, the Gram entries and the half-pairings' loop factor."""
     got = assert_reduced_quotient([c * e for e in _delta_exponents(1)])
-    assert got == _Factored((0,) * c + (1,), 1, ())
+    assert got == _Factored((1,), 1, (-c,) if c else ())
+
+
+def signed_values(max_degree=3):
+    """num * prod_i Psi_i^-e[i] / den over random signed exponent vectors e
+    on the base of Delta_1..Delta_6, as RationalFunctions."""
+    exponents = st.lists(st.integers(-2, 2), max_size=len(_delta_exponents(6)))
+    return st.tuples(nonzero_polynomials(max_degree, 6), exponents, st.integers(1, 6)).map(
+        lambda t: RationalFunction(
+            t[0] * _psi_product([max(-e, 0) for e in t[1]]),
+            _psi_product([max(e, 0) for e in t[1]]).scaled(t[2]),
+        )
+    )
+
+
+@given(signed_values(), signed_values(), polynomials(2, 4), st.lists(st.integers(0, 2), max_size=8))
+@settings(max_examples=150)
+def test_times_and_minus_over_signed_exponents(x, y, w, carried):
+    """times and minus agree with RationalFunction arithmetic in normal form,
+    on values whose exponent vectors are signed; z differs from x by a
+    multiple of Psi powers, so x - z carries in its numerator Psi factors
+    that neither operand's exponents show."""
+    z = x - RationalFunction(w * _psi_product(carried), ONE)
+    values = [(_to_factored(v), v) for v in (x, y, z)]
+    for f, _ in values:
+        assert_normal_form(f)
+    for left, left_value in values:
+        for right, right_value in values:
+            for got, want in (
+                (left.times(right), left_value * right_value),
+                (left.minus(right), left_value - right_value),
+            ):
+                assert_normal_form(got)
+                assert factored_value(got) == want
+                assert got == _to_factored(want)
 
 
 def test_denominators_outside_the_base_do_not_translate():
