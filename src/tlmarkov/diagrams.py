@@ -318,8 +318,6 @@ class _Level:
     made or checked.  ``lift[h - 1][u]`` is the index of l_h(u) for the u-th
     diagram of B_{k-1}; ``contract[b][h - 1]`` is ``(u, c)`` with u the index
     of tau_h(b) in B_{k-1} and c the loops the contraction closes.
-    ``matchings`` maps each diagram's :class:`Matching` to its position, for
-    the callers that want Matchings.
     """
 
     k: int
@@ -340,10 +338,6 @@ class _Level:
     @functools.cached_property
     def partner_index(self) -> dict[tuple[int, ...], int]:
         return {p: i for i, p in enumerate(self.partners)}
-
-    @functools.cached_property
-    def matchings(self) -> dict[Matching, int]:
-        return {_matching(p): i for i, p in enumerate(self.partners)}
 
     @functools.cached_property
     def lift(self) -> tuple[tuple[int, ...], ...]:

@@ -15,21 +15,21 @@ entries are the products of Chebyshev quotients
 
     <e'_a, e'_a> = prod_i Delta_{a_i} / Delta_{a_i - 1}.
 
-The vectors are built all of one size at once from those one size down, and
-each coefficient of the recursion is computed once per distinct
-(h, lifted, previous) triple of coefficients.  The builder and the verifier
+The vectors are built all of one size at once from those one size down.  One
+generator (:func:`_walk`) walks this recursion over a level for the builder,
+check (ii) and the half-pairing table alike, each computing a coefficient
+once per distinct (h, lifted, previous) triple.  The builder and the verifier
 read the l_h and tau_h images by index from the per-size tables of
 :func:`diagrams._level`, built once per process from the size below.
 
 Since G = L D L^T with P = L^-1 unitriangular, every denominator in P and in
 the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
-determinant structure).  So the builder and the whole verifier, with one
-recursion step (:func:`_recurse`), compute over the irreducible factors Psi_d
-of the Delta_k (``qpoly._Factored``): an integer numerator over a positive
-integer and a signed exponent vector, negative entries being Psi_d powers
-in the numerator.  A product by the ratio or by q adds exponent vectors; a
-difference is reduced by exact division by the Psi_d that divide it, with
-no polynomial gcd.
+determinant structure).  So the builder and the whole verifier compute over
+the irreducible factors Psi_d of the Delta_k (``qpoly._Factored``): an
+integer numerator over a positive integer and a signed exponent vector,
+negative entries being Psi_d powers in the numerator.  A product by the
+ratio or by q adds exponent vectors; a difference is reduced by exact
+division by the Psi_d that divide it, with no polynomial gcd.
 
 One store holds the only copy of the vectors: each is an ``array('I')`` of
 diagram indices with a parallel tuple of shared ``_Factored`` values, keyed
@@ -105,9 +105,9 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .diagrams import RestrictedSequence, _heads, _level, enumerate_diagrams
+from .diagrams import RestrictedSequence, _heads, _Level, _level, enumerate_diagrams
 from .markov import (
     DiagramVector,
     SquareMatrix,
@@ -250,10 +250,9 @@ _UNIT = _Stored(array("I", [0]), (_F_ONE,))
 def _build_level(k: int) -> None:
     """Store e'_(t,h) for every diagram (t,h) of size k.
 
-    The entry of e'_t one size down is pushed through the lift table of h,
-    index by index, and each coefficient of
-    e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1) is computed
-    over the factor base once per distinct (h, lifted, previous) triple.  The
+    The level is walked (:func:`_walk`) with each e'_t one size down pushed
+    through the lift table (:func:`_lift`), each coefficient computed over
+    the factor base once per distinct (h, lifted, previous) triple.  The
     columns go into the store as they are; no RationalFunction is made.  The
     empty diagram's e'_() is e_().  A vector already in the store is kept,
     and the vectors built after it in the level are built from it.
@@ -265,16 +264,18 @@ def _build_level(k: int) -> None:
     # Seeded with the values one size down, so equal values of the level are
     # one object too (:func:`_combined`)
     combined: dict = {v: v for tail in tails for v in tail.values}
-    for t, tail in zip(below.basis, tails):
-        previous: Mapping[int, _Factored] = {}
-        for h in _heads(t):
-            column = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
-            _recurse(combined, h, column, previous)
-            stored = _Stored(array("I", column), tuple(column.values()))
-            kept = _VECTOR_CACHE.setdefault(t.entries + (h,), stored)
-            if kept is not stored:
-                column = dict(zip(kept.indices, kept.values))
-            previous = column
+    for a, column in zip(level.basis, _walk(combined, zip(below.basis, tails), _lift(level))):
+        stored = _Stored(array("I", column), tuple(column.values()))
+        kept = _VECTOR_CACHE.setdefault(a.entries, stored)
+        if kept is not stored:
+            column.clear()
+            column.update(zip(kept.indices, kept.values))
+
+
+def _lift(level: _Level) -> Callable[[int, _Stored], dict[int, _Factored]]:
+    """The push of the builder and check (ii): a stored vector moved up by l_h
+    through the lift table of level, keyed by diagram index."""
+    return lambda h, tail: dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
 
 
 def _memo_sizes() -> dict[str, int]:
@@ -579,16 +580,25 @@ def _combined(
     return value
 
 
-def _recurse(memo: dict, h: int, column: dict, previous: Mapping[int, _Factored]) -> None:
-    """The recursion step, in place: column -= (Delta_{h-2}/Delta_{h-1}) *
-    previous, entry by entry through :func:`_combined` with the caller's own
-    memo, dropping the entries that cancel.  previous is empty for h = 1."""
-    for key, value in previous.items():
-        entry = _combined(memo, h, column.get(key, _F_ZERO), value)
-        if entry.num:
-            column[key] = entry
-        else:
-            column.pop(key, None)
+def _walk(memo: dict, tails: Iterable[tuple], push: Callable) -> Iterator[dict[int, _Factored]]:
+    """The paper's recursion over one level, in basis order: for each
+    (t, tail) pair and each head h of t, the column push(h, tail) minus
+    (Delta_{h-2}/Delta_{h-1}) times the column of (t, h - 1), entry by entry
+    through :func:`_combined` with the caller's own memo, the entries that
+    cancel dropped.  A column is the next head's previous as the caller
+    leaves it after the yield, and only one tail's columns are held."""
+    for t, tail in tails:
+        previous: dict[int, _Factored] = {}
+        for h in _heads(t):
+            column = push(h, tail)
+            for key, value in previous.items():
+                entry = _combined(memo, h, column.get(key, _F_ZERO), value)
+                if entry.num:
+                    column[key] = entry
+                else:
+                    column.pop(key, None)
+            yield column
+            previous = column
 
 
 def _half_pairings(n: int) -> list[dict[int, _Factored]]:
@@ -603,13 +613,14 @@ def _half_pairings(n: int) -> list[dict[int, _Factored]]:
         H_k[b][(t,h)] = q^c(b,h) H_{k-1}[tau_h b][t]
                         - (Delta_{h-2}/Delta_{h-1}) H_k[b][(t,h-1)].
 
-    No vector and no Gram entry is read; :func:`verify_orthogonality`
-    certifies that the result equals G P^T for the stored vectors.  The
-    entries are computed and returned over the factor base.
+    Each level is walked (:func:`_walk`) with column t pushed through the
+    tau_h preimages.  No vector and no Gram entry is read;
+    :func:`verify_orthogonality` certifies that the result equals G P^T for
+    the stored vectors.  The entries are over the factor base.
     """
     q = _from_exponents(_delta_exponents(1))
     # the entries repeat, so each field operation is done once per operands
-    raised: dict[_Factored, _Factored] = {}
+    raised = functools.cache(lambda value: value.times(q))
     combined: dict[tuple[int, _Factored, _Factored], _Factored] = {}
     columns: list[dict[int, _Factored]] = [{0: _F_ONE}]
     for k in range(1, n + 1):
@@ -618,24 +629,15 @@ def _half_pairings(n: int) -> list[dict[int, _Factored]]:
         for b, row in enumerate(level.contract):
             for h, (u, loops) in enumerate(row):
                 preimages[h][u].append((b, loops))
-        upper: list[dict[int, _Factored]] = []
-        for t_idx, t in enumerate(below):
-            previous: dict[int, _Factored] = {}
-            for h in _heads(t):
-                column = {}
-                for u, value in columns[t_idx].items():
-                    for b, loops in preimages[h - 1][u]:
-                        if loops:
-                            shifted = raised.get(value)
-                            if shifted is None:
-                                shifted = raised[value] = value.times(q)
-                            column[b] = shifted
-                        else:
-                            column[b] = value
-                _recurse(combined, h, column, previous)
-                upper.append(column)
-                previous = column
-        columns = upper
+
+        def push(h: int, lower: dict[int, _Factored]) -> dict[int, _Factored]:
+            column = {}
+            for u, value in lower.items():
+                for b, loops in preimages[h - 1][u]:
+                    column[b] = raised(value) if loops else value
+            return column
+
+        columns = list(_walk(combined, zip(below, columns), push))
     return columns
 
 
@@ -684,11 +686,12 @@ def _recursion_mismatches(n: int) -> list[str]:
     e'_(t,h) = l_h(e'_t) - (Delta_{h-2}/Delta_{h-1}) e'_(t,h-1), through the
     lift table of link (i), and e'_(1) = e_(1).
 
-    The recursion is evaluated over the factor base, keyed by diagram index
-    as the store is, with its own memo of combined triples, and compared
-    with the stored vector as a whole; only a vector that differs is
-    compared term by term with the evaluated recursion, in basis order, for
-    the report, and the stored e'_(1) is wrapped only when it is not e_(1).
+    Each level is walked (:func:`_walk`) over the factor base with its own
+    memo of combined triples, and each column is compared with the stored
+    vector as a whole.  Only a vector that differs is compared term by term,
+    in basis order, for the report; the stored vector then stands in the
+    column, so the next head is checked against it.  The stored e'_(1) is
+    wrapped only when it is not e_(1).
     """
     bad = []
     _delta_exponents(n)  # the factor base holds every Psi_d of Delta_1..Delta_n
@@ -699,26 +702,22 @@ def _recursion_mismatches(n: int) -> list[str]:
     if _stored(first) != _UNIT:
         bad.append(f"e'_{first} = {orthogonal_vector(first)} != e_{first}")
     for k in range(2, n + 1):
-        below, level = _level(k - 1), _level(k)
-        diagrams = iter(level.basis)
-        for t in below.basis:
-            tail = _stored(t)
-            previous: dict[int, _Factored] = {}
-            for h in _heads(t):
-                a = next(diagrams)
-                stored = _stored(a)
-                got = dict(zip(stored.indices, stored.values))
-                want = dict(zip(map(level.lift[h - 1].__getitem__, tail.indices), tail.values))
-                _recurse(combined, h, want, previous)
-                if want != got:
-                    recursion = f"by l_{h}(e'_{t})"
-                    if h > 1:
-                        recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
-                    for i in sorted(got.keys() | want.keys()):
-                        x, y = got.get(i, _F_ZERO), want.get(i, _F_ZERO)
-                        if x != y:
-                            bad.append(f"e'_{a} has {x} != {y} on e_{level.basis[i]} {recursion}")
-                previous = got
+        below, level = _level(k - 1).basis, _level(k)
+        tails = zip(below, map(_stored, below))
+        for a, want in zip(level.basis, _walk(combined, tails, _lift(level))):
+            stored = _stored(a)
+            got = dict(zip(stored.indices, stored.values))
+            if want != got:
+                h, t = a.entries[-1], RestrictedSequence(a.entries[:-1])
+                recursion = f"by l_{h}(e'_{t})"
+                if h > 1:
+                    recursion += f" - (Delta_{h - 2}/Delta_{h - 1}) e'_{h - 1},{t}"
+                for i in sorted(got.keys() | want.keys()):
+                    x, y = got.get(i, _F_ZERO), want.get(i, _F_ZERO)
+                    if x != y:
+                        bad.append(f"e'_{a} has {x} != {y} on e_{level.basis[i]} {recursion}")
+                want.clear()
+                want.update(got)
     return bad
 
 

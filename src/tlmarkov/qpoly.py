@@ -272,10 +272,7 @@ class Polynomial:
     def evaluate(self, q0):
         """Horner evaluation: exact rational in, Fraction out; float in, float out."""
         if isinstance(q0, float):
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * q0 + c
-            return acc
+            return float(_horner(self.coeffs, q0))
         if isinstance(q0, (int, Fraction)):
             return self._evaluate_exact(Fraction(q0))
         raise TypeError("evaluation point must be an exact rational or a float")
@@ -781,22 +778,15 @@ def _from_exponents(exps: Sequence[int]) -> _Factored:
 def _to_factored(value: RationalFunction) -> _Factored | None:
     """value over the factor base as grown so far, through :func:`_normal`;
     None when its denominator does not factor over it."""
-    rest = list(value.den.coeffs)
-    if any(type(c) is not int for c in rest):
+    den = list(value.den.coeffs)
+    if any(type(c) is not int for c in den):
         return None
-    exps = []
-    for psi in list(_PSI):
-        e = 0
-        while len(rest) > 1:
-            quot, rem = _divrem(rest, psi)
-            if rem:
-                break
-            rest, e = quot, e + 1
-        exps.append(e)
-    if rest != [1]:
+    # what the Psi_d of the base leave of the monic denominator: 1 if it factors
+    rest = _normal(den, 1, [])
+    if rest.num != (1,):
         return None
-    num, den = _clear_denominators(value.num.coeffs)
-    return _normal(num, den, exps)
+    num, scale = _clear_denominators(value.num.coeffs)
+    return _normal(num, scale, [-e for e in rest.exps])
 
 
 def _expanded(value: _Factored) -> tuple[Polynomial, Polynomial]:

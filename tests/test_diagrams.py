@@ -174,14 +174,14 @@ def test_enumeration_is_strictly_increasing(n):
 
 
 def test_enumeration_builds_no_matching():
-    """The basis of each size is built from the one below; the matchings and
-    the tables read from them wait for their first use."""
+    """The basis of each size is built from the one below; the partner
+    tuples and the tables read from them wait for their first use."""
     _level.cache_clear()
     enumerate_diagrams(6)
     assert _level.cache_info().currsize == 7
     for k in range(7):
         built = vars(_level(k))
-        assert not {"matchings", "partners", "partner_index", "lift", "contract"} & built.keys(), k
+        assert not {"partners", "partner_index", "lift", "contract"} & built.keys(), k
 
 
 # ---------------------------------------------------------------------------

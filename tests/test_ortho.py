@@ -113,6 +113,30 @@ def test_level_builder_matches_the_term_recursion(n):
         assert orthogonal_vector(s) == term_recursion(s, memo), str(s)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_one_tail_walked_alone_is_its_slice_of_the_level_walk(k):
+    """Walking one tail alone, with a fresh memo and the builder's push,
+    yields that tail's columns of the whole level's walk, entries in the
+    same order, and those are the stored vectors: a column depends on its
+    own tail only, so a level can be built one tail at a time."""
+    from tlmarkov.diagrams import _heads
+    from tlmarkov.ortho import _UNIT, _lift, _stored, _walk
+
+    below, level = _level(k - 1).basis, _level(k)
+    with stored_vectors(clear=True):
+        tails = [_stored(t) if t.size else _UNIT for t in below]
+        whole = [list(c.items()) for c in _walk({}, zip(below, tails), _lift(level))]
+        stored = [list(zip(v.indices, v.values)) for v in map(_stored, level.basis)]
+    assert whole == stored
+    start = 0
+    for t, tail in zip(below, tails):
+        alone = [list(c.items()) for c in _walk({}, [(t, tail)], _lift(level))]
+        assert len(alone) == len(_heads(t)), str(t)
+        assert alone == whole[start : start + len(alone)], str(t)
+        start += len(alone)
+    assert start == len(whole)
+
+
 def test_two_step_vector():
     v = orthogonal_vector(seq("2,2,1"))
     assert dict(v.coeffs) == {
@@ -360,8 +384,11 @@ def test_half_pairings_match_the_direct_pairing(n):
 
 def test_verify_detects_a_corrupted_interior_vector():
     """A wrong coefficient in a vector that is neither first nor last of its
-    head class (same tail, heads 1..a_{n-1}+1) fails the half-pairing check;
-    the recursion link is checked for every vector, none is sampled."""
+    head class (same tail, heads 1..a_{n-1}+1) fails the half-pairing check,
+    at its own size and one size up; the recursion link is checked for every
+    vector, none is sampled.  The builder builds the next head from the
+    stored vector, and check (ii) checks the next head against it, so every
+    failure names e'_s alone: nothing cascades to the next head."""
     s = seq("2,2,2,2,1")  # tail 2,2,2,1 takes heads 1..3
     vector = orthogonal_vector(s)
     key = seq("1,2,2,2,1")
@@ -369,12 +396,13 @@ def test_verify_detects_a_corrupted_interior_vector():
     wrong = DiagramVector(
         5, {t: -c if t == key else c for t, c in vector.coeffs.items()}
     )
-    with _with_corrupted_vector(s, wrong):
-        result = verify_orthogonality(5)
-    check = next(c for c in result.checks if c.name == "half-pairing")
-    assert not check.passed
-    assert "!=" in check.details
-    assert f"e'_{s}" in check.details
+    for n in (5, 6):
+        with _with_corrupted_vector(s, wrong):
+            result = verify_orthogonality(n)
+        check = next(c for c in result.checks if c.name == "half-pairing")
+        assert not check.passed, n
+        for line in check.details.split("; "):
+            assert line.startswith(f"e'_{s} has ") and " != " in line, (n, line)
     assert verify_orthogonality(5).passed
 
 
@@ -628,9 +656,9 @@ def test_factored_recursion_matches_rational_function_arithmetic(n, monkeypatch)
     products = set()
 
     def combined(memo, h, lifted, previous):
-        # a call from the shared step counts for the recursion above it
+        # a call from the shared level walk counts for the caller walking it
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "_recurse":
+        if frame.f_code.co_name == "_walk":
             frame = frame.f_back
         caller = frame.f_code.co_name
         triples.setdefault(caller, set()).add((h, lifted, previous))
@@ -806,8 +834,7 @@ def test_level_tables_match_the_sequence_route(k):
     level = _level(k)
     basis = enumerate_diagrams(k)
     assert level.basis == basis
-    assert list(level.matchings) == [seq_to_matching(s) for s in basis]
-    assert level.partners == [_partners(m) for m in level.matchings]
+    assert level.partners == [_partners(seq_to_matching(s)) for s in basis]
     index = {s: i for i, s in enumerate(basis)}
     below = enumerate_diagrams(k - 1) if k else ()
     below_index = {s: i for i, s in enumerate(below)}
@@ -829,17 +856,25 @@ def test_level_tables_match_the_sequence_route(k):
             assert level.contract[image][h - 1] == (u, 1)
 
 
-def test_verification_makes_no_matching():
+def test_verification_makes_no_matching(monkeypatch):
     """From cleared memos, the builder and the verifier read the level tables
-    on partner tuples only: no size gets its Matchings."""
+    on partner tuples only: no Matching is made."""
+    from tlmarkov.diagrams import Matching
     from tlmarkov.ortho import _clear_memos
 
+    made = []
+    true_post_init = Matching.__post_init__
+
+    def post_init(self):
+        made.append(self)
+        true_post_init(self)
+
     _clear_memos()
+    monkeypatch.setattr(Matching, "__post_init__", post_init)
     with stored_vectors(clear=True):
         assert verify_orthogonality(6).passed
     assert _level.cache_info().currsize == 7
-    for k in range(7):
-        assert "matchings" not in vars(_level(k)), k
+    assert made == []
 
 
 def test_values_of_each_size_carry_no_psi_beyond_its_base():

@@ -593,4 +593,5 @@ def test_denominators_outside_the_base_do_not_translate():
     assert _to_factored(rf((1,), (1, 0, 1))) is None  # q^2 + 1
     assert _to_factored(rf((1,), (Fraction(1, 2), 1))) is None  # q + 1/2
     assert _to_factored(rf((1,), (-1, 0, 0, 1))) is None  # (q - 1)(q^2 + q + 1)
+    assert _to_factored(rf((1,), (-1, 0, 0, 0, 1))) is None  # Delta_2 (q^2 + 1)
     assert _to_factored(rf((1,), (-1, 1, 1))) is not None  # Psi_5
