@@ -142,10 +142,6 @@ def _check_scale(n: int, max_n: int | None) -> str | None:
     return None
 
 
-def _parse_sequence(text: str) -> RestrictedSequence:
-    return RestrictedSequence.parse(text)
-
-
 def _parse_point(text: str):
     """Exact rationals ("3", "-1/2") stay exact; decimal floats go float."""
     text = text.strip()
@@ -186,8 +182,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_pair(args) -> int:
     try:
-        a = _parse_sequence(args.a)
-        b = _parse_sequence(args.b)
+        a = RestrictedSequence.parse(args.a)
+        b = RestrictedSequence.parse(args.b)
     except ValueError as exc:
         return _fail(str(exc))
     if a.size != b.size:

@@ -26,10 +26,10 @@ Since G = L D L^T with P = L^-1 unitriangular, every denominator in P and in
 the half-pairings divides a product of the Delta_j, j <= n (the Ko-Smolinsky
 determinant structure).  So the builder and the whole verifier compute over
 the irreducible factors Psi_d of the Delta_k (``qpoly._Factored``): an
-integer numerator over a positive integer and a signed exponent vector,
-negative entries being Psi_d powers in the numerator.  A product by the
-ratio or by q adds exponent vectors; a difference is reduced by exact
-division by the Psi_d that divide it, with no polynomial gcd.
+integer numerator and a signed exponent vector, negative entries being
+Psi_d powers in the numerator.  A product by the ratio or by q adds
+exponent vectors; a difference is reduced by exact division by the Psi_d
+that divide it, with no polynomial gcd.
 
 One store holds the only copy of the vectors: each is an ``array('I')`` of
 diagram indices with a parallel tuple of shared ``_Factored`` values, keyed
@@ -286,13 +286,14 @@ def _memo_sizes() -> dict[str, int]:
         "levels": _level.cache_info().currsize,
         "from_factored": _from_factored.cache_info().currsize,
         "psi_products": _psi_power.cache_info().currsize,
+        "ratios": _ratio.cache_info().currsize,
     }
 
 
 def _clear_memos() -> None:
     """Drop the vector store and its wrappers, the level tables (and the
-    enumeration they hold), the RationalFunctions of the factor-base values
-    and the Psi products.
+    enumeration they hold), the RationalFunctions of the factor-base values,
+    the Psi products and the recursion ratios.
 
     The factor base itself stays, so its positions stay stable.
     """
@@ -302,6 +303,7 @@ def _clear_memos() -> None:
         _level.cache_clear()
         _from_factored.cache_clear()
         _psi_power.cache_clear()
+        _ratio.cache_clear()
 
 
 def predicted_diagonal(s: RestrictedSequence) -> RationalFunction:

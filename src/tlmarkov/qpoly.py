@@ -644,18 +644,22 @@ def _psi(d: int) -> tuple[int, ...]:
 
 
 class _Factored(NamedTuple):
-    """The value num / (den * prod_i Psi_i^exps[i]) over the factor base; a
-    negative exps[i] is a power of Psi_i in the numerator.
+    """The value num / prod_i Psi_i^exps[i] over the factor base, num an
+    integer polynomial; a negative exps[i] is a power of Psi_i in the
+    numerator.
 
-    Normal form: the integer scalar den > 0 is coprime to the content of the
-    integer polynomial num, no Psi_i of the base divides num, exps has no
-    trailing zeros, and zero is ((), 1, ()).  Equal values made under one
-    base are equal tuples; the values the engine makes at size k carry no
-    Psi_d outside the base of Delta_1..Delta_k (a test pins this), so the
-    base growing later changes none of them.  :func:`_normal` puts a
-    difference or a converted value in this form; a product of values in it
-    is in it once its exponents are added and its scalar content is
-    reduced (:func:`_reduced`), since each Psi_i is monic and irreducible.
+    Normal form: no Psi_i of the base divides num, exps has no trailing
+    zeros, and zero is ((), ()).  No scalar denominator is needed: every
+    denominator the engine makes divides a product of Delta_j
+    (Ko-Smolinsky), a product of monic integer Psi_d, and an exact division
+    of an integer polynomial by a monic integer one leaves integer
+    coefficients (Gauss's lemma).  Equal values made under one base are
+    equal tuples, since the Psi-adic valuations fix exps and then num; the
+    values the engine makes at size k carry no Psi_d outside the base of
+    Delta_1..Delta_k (a test pins this), so the base growing later changes
+    none of them.  :func:`_normal` puts a difference or a converted value in
+    this form; a product of values in it is in it once its exponents are
+    added (:func:`_reduced`), since each Psi_i is monic and irreducible.
     A value is made from its net Psi exponents
     (:func:`_from_exponents`), by ``times`` and ``minus``, or from a
     RationalFunction (:func:`_to_factored`), and is read as polynomials only
@@ -663,7 +667,6 @@ class _Factored(NamedTuple):
     """
 
     num: tuple[int, ...]
-    den: int
     exps: tuple[int, ...]
 
     def __str__(self) -> str:
@@ -673,38 +676,34 @@ class _Factored(NamedTuple):
         if not self.num or not other.num:
             return _F_ZERO
         a, b = _padded(self.exps, other.exps)
-        exps = [x + y for x, y in zip(a, b)]
-        return _reduced(_mul(self.num, other.num), self.den * other.den, exps)
+        return _reduced(_mul(self.num, other.num), [x + y for x, y in zip(a, b)])
 
     def minus(self, other: "_Factored") -> "_Factored":
         if not other.num:
             return self
         if not self.num:
-            return _Factored(tuple(-c for c in other.num), other.den, other.exps)
+            return _Factored(tuple(-c for c in other.num), other.exps)
         a, b = _padded(self.exps, other.exps)
         exps = [max(x, y) for x, y in zip(a, b)]
-        den = math.lcm(self.den, other.den)
-        left = self._over(exps, den)
-        right = other._over(exps, den)
+        left, right = self._over(exps), other._over(exps)
         if len(left) < len(right):
             left += [0] * (len(right) - len(left))
         for i, c in enumerate(right):
             left[i] -= c
-        return _normal(left, den, exps)
+        return _normal(left, exps)
 
-    def _over(self, exps: list[int], den: int) -> list[int]:
-        """The numerator of this value over den * prod_i Psi_i^exps[i], with
-        each exps[i] at least this value's own."""
-        scale = den // self.den
-        num = list(self.num) if scale == 1 else [c * scale for c in self.num]
+    def _over(self, exps: list[int]) -> list[int]:
+        """The numerator of this value over prod_i Psi_i^exps[i], with each
+        exps[i] at least this value's own."""
+        num = list(self.num)
         for i, e in enumerate(exps):
             for _ in range(e - (self.exps[i] if i < len(self.exps) else 0)):
                 num = _mul(num, _PSI[i])
         return num
 
 
-_F_ZERO = _Factored((), 1, ())
-_F_ONE = _Factored((1,), 1, ())
+_F_ZERO = _Factored((), ())
+_F_ONE = _Factored((1,), ())
 
 
 def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -712,10 +711,10 @@ def _padded(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ..
     return a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))
 
 
-def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
-    """num / (den * prod_i Psi_i^exps[i]) in normal form: each Psi_i of the
-    base is divided out exactly while it divides num, lowering exps[i] below
-    zero where it must, before :func:`_reduced`."""
+def _normal(num: list[int], exps: list[int]) -> _Factored:
+    """num / prod_i Psi_i^exps[i] in normal form: each Psi_i of the base is
+    divided out exactly while it divides num, lowering exps[i] below zero
+    where it must, before :func:`_reduced`."""
     while num and num[-1] == 0:
         num.pop()
     if not num:
@@ -734,21 +733,17 @@ def _normal(num: list[int], den: int, exps: list[int]) -> _Factored:
         if divided:
             exps += [0] * (i + 1 - len(exps))
             exps[i] -= divided
-    return _reduced(num, den, exps)
+    return _reduced(num, exps)
 
 
-def _reduced(num: list[int], den: int, exps: list[int]) -> _Factored:
-    """num / (den * prod_i Psi_i^exps[i]) in normal form, for a nonzero num
-    that no Psi_i of the base divides: the trailing zero exponents dropped
-    and the scalar content divided out.  Every _Factored but 0 and 1 is made
-    here, through :func:`_normal` or not, or negated from one made here."""
+def _reduced(num: list[int], exps: list[int]) -> _Factored:
+    """num / prod_i Psi_i^exps[i] in normal form, for a nonzero num that no
+    Psi_i of the base divides: the trailing zero exponents dropped.  Every
+    _Factored but 0 and 1 is made here, through :func:`_normal` or not, or
+    negated from one made here."""
     while exps and not exps[-1]:
         exps.pop()
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            num, den = [c // g for c in num], den // g
-    return _Factored(tuple(num), den, tuple(exps))
+    return _Factored(tuple(num), tuple(exps))
 
 
 def _psi_product(exps: Sequence[int]) -> Polynomial:
@@ -772,31 +767,30 @@ def _psi_power(exps: tuple[int, ...]) -> Polynomial:
 
 def _from_exponents(exps: Sequence[int]) -> _Factored:
     """prod_i Psi_i^exps[i] for signed exps over the base, in normal form."""
-    return _reduced([1], 1, [-e for e in exps])
+    return _reduced([1], [-e for e in exps])
 
 
 def _to_factored(value: RationalFunction) -> _Factored | None:
     """value over the factor base as grown so far, through :func:`_normal`;
-    None when its denominator does not factor over it."""
-    den = list(value.den.coeffs)
-    if any(type(c) is not int for c in den):
+    None unless its numerator and its monic denominator have integer
+    coefficients and the denominator factors over the base.  A rational
+    scalar is a denominator outside the base."""
+    num, den = list(value.num.coeffs), list(value.den.coeffs)
+    if any(type(c) is not int for c in num + den):
         return None
     # what the Psi_d of the base leave of the monic denominator: 1 if it factors
-    rest = _normal(den, 1, [])
+    rest = _normal(den, [])
     if rest.num != (1,):
         return None
-    num, scale = _clear_denominators(value.num.coeffs)
-    return _normal(num, scale, [-e for e in rest.exps])
+    return _normal(num, [-e for e in rest.exps])
 
 
 def _expanded(value: _Factored) -> tuple[Polynomial, Polynomial]:
-    """The numerator and the monic denominator of value as one reduced
-    quotient: the negative powers multiplied into the numerator."""
+    """The integer numerator and the monic denominator of value as one
+    reduced quotient: the negative powers multiplied into the numerator."""
     num = value.num
     if any(e < 0 for e in value.exps):
         num = _mul(num, _psi_power(tuple(max(-e, 0) for e in value.exps)).coeffs)
-    if value.den != 1:
-        num = (Fraction(c, value.den) for c in num)
     return Polynomial(tuple(num)), _psi_power(tuple(max(e, 0) for e in value.exps))
 
 

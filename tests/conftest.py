@@ -2,7 +2,6 @@
 reference for the orthogonal vectors, a writer into the vector store, and
 the invariants of factor-base coefficients."""
 
-import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -46,13 +45,19 @@ def rational_functions(max_degree: int = 4, bound: int = 6):
     ).map(lambda pair: RationalFunction(*pair))
 
 
+def integer_polynomials(max_degree: int = 6, bound: int = 8):
+    return st.lists(st.integers(-bound, bound), max_size=max_degree + 1).map(
+        lambda cs: Polynomial(tuple(cs))
+    )
+
+
 def base_values(max_degree=4):
-    """Rational functions whose denominators are products of Psi_d, d <= 18."""
+    """Rational functions with integer numerators whose denominators are
+    products of Psi_d, d <= 18: the values a factor-base value can hold."""
     _delta_exponents(8)
     exponents = st.lists(st.integers(0, 2), max_size=len(_PSI))
-    scalars = st.integers(1, 6)
-    return st.tuples(polynomials(max_degree, 6), exponents, scalars).map(
-        lambda t: RationalFunction(t[0], _psi_product(t[1]).scaled(t[2]))
+    return st.tuples(integer_polynomials(max_degree, 6), exponents).map(
+        lambda t: RationalFunction(t[0], _psi_product(t[1]))
     )
 
 
@@ -125,20 +130,18 @@ def factored_value(f):
     """The value of a factor-base coefficient, through the gcd-reducing
     RationalFunction constructor: the negative powers of Psi multiplied into
     the numerator."""
-    num = Polynomial(tuple(Fraction(c, f.den) for c in f.num))
-    num = num * _psi_product([max(-e, 0) for e in f.exps])
+    num = Polynomial(f.num) * _psi_product([max(-e, 0) for e in f.exps])
     return RationalFunction(num, _psi_product([max(e, 0) for e in f.exps]))
 
 
 def assert_normal_form(f):
     """The invariants that make equal factor-base values equal tuples."""
+    assert f._fields == ("num", "exps")
     assert all(type(c) is int for c in f.num) and (not f.num or f.num[-1] != 0)
-    assert type(f.den) is int and f.den > 0
-    assert math.gcd(f.den, *f.num) == 1
     assert not f.exps or f.exps[-1] != 0
     assert all(type(e) is int for e in f.exps) and len(f.exps) <= len(_PSI)
     if not f.num:
-        assert (f.den, f.exps) == (1, ())
+        assert f.exps == ()
     if len(f.num) > 1:
         for psi in _PSI:
             assert not poly_divrem(Polynomial(f.num), Polynomial(psi))[1].is_zero

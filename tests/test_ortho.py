@@ -623,8 +623,9 @@ def test_verify_reports_a_missing_recursion_term():
 def test_the_store_rejects_a_value_outside_the_factor_base_and_a_mis_sized_vector():
     """The store's entry point admits factor-base coefficients of the vector's
     own size only: a coefficient 1/(q^2 + 1), whose denominator is no product
-    of Delta_j, and a vector of size 3 written as e'_2,1 raise ValueError,
-    and the store keeps the entry it held."""
+    of Delta_j, a coefficient 1/(2q), whose scalar 2 is no product of Psi_d,
+    and a vector of size 3 written as e'_2,1 raise ValueError, and the store
+    keeps the entry it held."""
     from tlmarkov.ortho import _store_vector, _stored
 
     s = seq("2,1")
@@ -633,6 +634,10 @@ def test_the_store_rejects_a_value_outside_the_factor_base_and_a_mis_sized_vecto
     outside = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((1,), (1, 0, 1))})
     with pytest.raises(ValueError, match=r"1/\(q\^2 \+ 1\) of e_1,1 in e'_2,1 .* outside"):
         _store_vector(s, outside)
+    scalar = DiagramVector(2, {**saved.coeffs, seq("1,1"): rf((Fraction(1, 2),), (0, 1))})
+    with pytest.raises(ValueError, match=r"\(1/2\)/q of e_1,1 in e'_2,1 .* outside the Chebyshev"):
+        _store_vector(s, scalar)
+    assert _stored(s) is entry
     with pytest.raises(ValueError, match="size 3 cannot be stored as e'_2,1"):
         _store_vector(s, DiagramVector.basis_vector(seq("3,2,1")))
     assert _stored(s) is entry
@@ -718,6 +723,7 @@ def test_memos_clear_and_rebuild_the_same_vectors():
         "levels",
         "from_factored",
         "psi_products",
+        "ratios",
     }
     assert all(sizes.values())
     _clear_memos()
@@ -882,7 +888,8 @@ def test_values_of_each_size_carry_no_psi_beyond_its_base():
     so a value's tuple could change when the base grows past it.  Built with
     the base grown through Delta_20, no vector coefficient or half-pairing of
     size k has a Psi_d outside the base of Delta_1..Delta_k, so the values a
-    process makes do not depend on how far it has grown the base."""
+    process makes do not depend on how far it has grown the base; each is in
+    normal form, an integer numerator over Psi powers."""
     from tlmarkov.ortho import _half_pairings, _stored
 
     _delta_exponents(20)
@@ -892,6 +899,8 @@ def test_values_of_each_size_carry_no_psi_beyond_its_base():
             values = {v for s in _level(k).basis for v in _stored(s).values}
             values.update(v for column in _half_pairings(k) for v in column.values())
             assert all(len(v.exps) <= width for v in values), k
+            for v in values:
+                assert_normal_form(v)
 
 
 def test_each_size_builds_its_tables_once():

@@ -11,6 +11,7 @@ from conftest import (
     assert_normal_form,
     base_values,
     factored_value,
+    integer_polynomials,
     nonzero_polynomials,
     nonzero_rational_functions,
     polynomials,
@@ -428,7 +429,7 @@ def test_equal_factored_values_are_equal_tuples(x, y, z):
     assert a.minus(a) == _F_ZERO
 
 
-def full_normal(num, den, exps):
+def full_normal(num, exps):
     """Reference normal form: trial division by every Psi_i of the base while
     it divides, the exponent going below zero where it must, whether or not
     irreducibility allows Psi_i to divide, and with no pruning test."""
@@ -446,8 +447,7 @@ def full_normal(num, den, exps):
             num, exps[i] = quot, exps[i] - 1
     while exps and not exps[-1]:
         exps.pop()
-    g = math.gcd(den, *num)
-    return _Factored(tuple(c // g for c in num), den // g, tuple(exps))
+    return _Factored(tuple(num), tuple(exps))
 
 
 def factor_values(max_degree=3):
@@ -455,8 +455,8 @@ def factor_values(max_degree=3):
     and differences cancel some of them."""
     _delta_exponents(8)
     exponents = st.lists(st.integers(0, 2), max_size=len(_PSI))
-    return st.tuples(polynomials(max_degree, 6), exponents, exponents, st.integers(1, 6)).map(
-        lambda t: RationalFunction(t[0] * _psi_product(t[1]), _psi_product(t[2]).scaled(t[3]))
+    return st.tuples(integer_polynomials(max_degree, 6), exponents, exponents).map(
+        lambda t: RationalFunction(t[0] * _psi_product(t[1]), _psi_product(t[2]))
     )
 
 
@@ -470,19 +470,13 @@ def test_pruned_trial_division_matches_the_full_one(x, y):
         if not left.num or not right.num:
             continue
         p, r = qpoly._padded(left.exps, right.exps)
-        product = full_normal(
-            qpoly._mul(left.num, right.num),
-            left.den * right.den,
-            [u + v for u, v in zip(p, r)],
-        )
+        product = full_normal(qpoly._mul(left.num, right.num), [u + v for u, v in zip(p, r)])
         assert left.times(right) == product
         exps = [max(u, v) for u, v in zip(p, r)]
-        den = math.lcm(left.den, right.den)
-        minuend, subtrahend = left._over(exps, den), right._over(exps, den)
+        minuend, subtrahend = left._over(exps), right._over(exps)
         minuend += [0] * (len(subtrahend) - len(minuend))
         difference = full_normal(
             [c - (subtrahend[i] if i < len(subtrahend) else 0) for i, c in enumerate(minuend)],
-            den,
             exps,
         )
         assert left.minus(right) == difference
@@ -491,8 +485,8 @@ def test_pruned_trial_division_matches_the_full_one(x, y):
 
 
 def normal_arguments(max_degree=3):
-    """Arguments of _normal: an integer numerator that carries Psi_d factors,
-    a scalar and an exponent vector, each possibly with trailing zeros."""
+    """Arguments of _normal: an integer numerator that carries Psi_d factors
+    and an exponent vector, each possibly with trailing zeros."""
     _delta_exponents(8)
     carried = st.lists(st.integers(0, 2), max_size=len(_PSI))
     exponents = st.lists(st.integers(0, 3), max_size=len(_PSI))
@@ -500,7 +494,7 @@ def normal_arguments(max_degree=3):
     numerators = st.tuples(coeffs, carried, st.integers(0, 2)).map(
         lambda t: list((Polynomial(tuple(t[0])) * _psi_product(t[1])).coeffs) + [0] * t[2]
     )
-    return st.tuples(numerators, st.integers(1, 12), exponents)
+    return st.tuples(numerators, exponents)
 
 
 @given(normal_arguments())
@@ -508,10 +502,10 @@ def normal_arguments(max_degree=3):
 def test_normal_divides_out_every_psi_that_divides(arguments):
     """_normal is told nothing about which Psi_i can divide the numerator,
     and gives the tuple of the full trial division in normal form."""
-    num, den, exps = arguments
-    got = qpoly._normal(list(num), den, list(exps))
+    num, exps = arguments
+    got = qpoly._normal(list(num), list(exps))
     assert_normal_form(got)
-    assert got == full_normal(num, den, exps)
+    assert got == full_normal(num, exps)
 
 
 def signed_exponents():
@@ -551,22 +545,24 @@ def test_from_exponents_of_the_recursion_ratio(h):
 def test_from_exponents_of_the_powers_of_q(c):
     """q^c = Delta_1^c, the Gram entries and the half-pairings' loop factor."""
     got = assert_reduced_quotient([c * e for e in _delta_exponents(1)])
-    assert got == _Factored((1,), 1, (-c,) if c else ())
+    assert got == _Factored((1,), (-c,) if c else ())
 
 
 def signed_values(max_degree=3):
-    """num * prod_i Psi_i^-e[i] / den over random signed exponent vectors e
-    on the base of Delta_1..Delta_6, as RationalFunctions."""
+    """num * prod_i Psi_i^-e[i] for integer num, over random signed exponent
+    vectors e on the base of Delta_1..Delta_6, as RationalFunctions."""
     exponents = st.lists(st.integers(-2, 2), max_size=len(_delta_exponents(6)))
-    return st.tuples(nonzero_polynomials(max_degree, 6), exponents, st.integers(1, 6)).map(
+    return st.tuples(integer_polynomials(max_degree, 6).filter(lambda p: not p.is_zero), exponents).map(
         lambda t: RationalFunction(
             t[0] * _psi_product([max(-e, 0) for e in t[1]]),
-            _psi_product([max(e, 0) for e in t[1]]).scaled(t[2]),
+            _psi_product([max(e, 0) for e in t[1]]),
         )
     )
 
 
-@given(signed_values(), signed_values(), polynomials(2, 4), st.lists(st.integers(0, 2), max_size=8))
+@given(
+    signed_values(), signed_values(), integer_polynomials(2, 4), st.lists(st.integers(0, 2), max_size=8)
+)
 @settings(max_examples=150)
 def test_times_and_minus_over_signed_exponents(x, y, w, carried):
     """times and minus agree with RationalFunction arithmetic in normal form,
@@ -595,3 +591,7 @@ def test_denominators_outside_the_base_do_not_translate():
     assert _to_factored(rf((1,), (-1, 0, 0, 1))) is None  # (q - 1)(q^2 + q + 1)
     assert _to_factored(rf((1,), (-1, 0, 0, 0, 1))) is None  # Delta_2 (q^2 + 1)
     assert _to_factored(rf((1,), (-1, 1, 1))) is not None  # Psi_5
+    # a rational scalar is a denominator outside the base
+    assert _to_factored(RationalFunction(poly(Fraction(-1, 2), 0, 3), ONE)) is None
+    over_deltas = chebyshev(2) * chebyshev(3)
+    assert _to_factored(RationalFunction(poly(0, Fraction(2, 3), -1), over_deltas)) is None
